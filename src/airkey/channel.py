@@ -6,19 +6,29 @@ Gains are positive real scalars (Rayleigh magnitudes): the protocols divide
 logarithms by gains and compare real-valued products, so complex phase has
 no place here.  A channel is immutable once drawn (block fading within one
 protocol execution) and all randomness flows through explicit generators.
+
+Drawing a channel does not depend on the protocol's working precision.  A
+Rayleigh gain comes from one 53-bit uniform, so it is computed in float and
+stored exactly as the float's shortest round-trip decimal, at most 17
+significant digits.  Integer-mode gains c * h_star and relative CSI estimates
+h * (1 + e) are exact decimal products, never rounded.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
 
 from .arith import BigReal, PrecisionContext, to_bigreal
 from .errors import NonPositiveGain
 
 _DEFAULT_CTX = PrecisionContext(50)
+# Products and sums of finite decimals are finite decimals: with unbounded
+# precision they never round, and Inexact is trapped should one ever try.
+_EXACT = Context(prec=MAX_PREC, traps=[Inexact, InvalidOperation])
 
 
 @dataclass(frozen=True)
@@ -95,23 +105,21 @@ class ChannelState:
         return json.dumps(doc, sort_keys=True)
 
 
-def _rayleigh_gain(scale: BigReal, rng: random.Random, ctx: PrecisionContext) -> BigReal:
+def _rayleigh_gain(scale: BigReal, rng: random.Random) -> BigReal:
     """Rayleigh magnitude scale * sqrt(-2 ln U), U uniform on (0, 1)."""
     u = 1.0 - rng.random()
     while not 0.0 < u < 1.0:
         u = 1.0 - rng.random()
-    with localcontext(ctx._context(ctx._working_prec())):
-        return scale * (-2 * to_bigreal(u).ln()).sqrt()
+    return to_bigreal(float(scale) * math.sqrt(-2.0 * math.log(u)))
 
 
-def _draw_gain(model, h_star, rng, ctx):
+def _draw_gain(model, h_star, rng):
     if model.kind == "ideal":
         return Decimal(1), None
     if model.kind == "rayleigh":
-        return _rayleigh_gain(model.scale, rng, ctx), None
+        return _rayleigh_gain(model.scale, rng), None
     c = rng.randint(1, model.c_max)
-    with localcontext(ctx._context(ctx._working_prec())):
-        return c * h_star, c
+    return _EXACT.multiply(h_star, c), c
 
 
 def draw_channel(
@@ -120,7 +128,6 @@ def draw_channel(
     h_star,
     noise_variance,
     rng: random.Random,
-    ctx: PrecisionContext = _DEFAULT_CTX,
 ) -> ChannelState:
     """Draw a reciprocal channel plus independent eavesdropper taps.
 
@@ -141,11 +148,11 @@ def draw_channel(
     c = [[0] * n_users for _ in range(n_users)] if model.kind == "integer" else None
     for i in range(n_users):
         for j in range(i + 1, n_users):
-            gain, cij = _draw_gain(model, h_star, rng, ctx)
+            gain, cij = _draw_gain(model, h_star, rng)
             h[i][j] = h[j][i] = gain
             if c is not None:
                 c[i][j] = c[j][i] = cij
-    h_eve = tuple(_draw_gain(model, h_star, rng, ctx)[0] for _ in range(n_users))
+    h_eve = tuple(_draw_gain(model, h_star, rng)[0] for _ in range(n_users))
     return ChannelState(
         n_users=n_users,
         h=tuple(tuple(row) for row in h),
@@ -157,13 +164,11 @@ def draw_channel(
     )
 
 
-def rayleigh_taps(
-    n: int, scale, rng: random.Random, ctx: PrecisionContext = _DEFAULT_CTX
-) -> tuple[BigReal, ...]:
+def rayleigh_taps(n: int, scale, rng: random.Random) -> tuple[BigReal, ...]:
     """Continuous Rayleigh taps, e.g. for an eavesdropper of an integer-mode
     channel whose physical link is not integer-quantized."""
     scale = to_bigreal(scale)
-    return tuple(_rayleigh_gain(scale, rng, ctx) for _ in range(n))
+    return tuple(_rayleigh_gain(scale, rng) for _ in range(n))
 
 
 def _noise_sample(variance: BigReal, rng: random.Random) -> BigReal:
@@ -242,13 +247,14 @@ def estimate_csi(
     error_model: str = "perfect",
     epsilon: float = 0.0,
     rng: random.Random | None = None,
-    ctx: PrecisionContext = _DEFAULT_CTX,
 ) -> CsiEstimate:
     """Channel estimates: exact, or with bounded relative error.
 
     ``relative`` perturbs each directed link independently by a uniform
     relative factor in [-epsilon, epsilon]; estimates are drawn once per
-    channel realization and reused for every round.
+    channel realization and reused for every round.  Each estimate is the
+    exact product h * (1 + e), so even an error far below float resolution
+    shows in it.
     """
     if error_model not in ("perfect", "relative"):
         raise ValueError(f"unknown CSI error model {error_model!r}")
@@ -259,14 +265,15 @@ def estimate_csi(
     if rng is None:
         raise ValueError("relative CSI error needs an rng")
     n = ch.n_users
-    with localcontext(ctx._context(ctx._working_prec())):
-        h_hat = tuple(
-            tuple(
-                ch.h[i][j] * (1 + to_bigreal(rng.uniform(-epsilon, epsilon)))
-                if i != j
-                else Decimal(0)
-                for j in range(n)
+    h_hat = tuple(
+        tuple(
+            _EXACT.multiply(
+                ch.h[i][j], _EXACT.add(1, to_bigreal(rng.uniform(-epsilon, epsilon)))
             )
-            for i in range(n)
+            if i != j
+            else Decimal(0)
+            for j in range(n)
         )
+        for i in range(n)
+    )
     return CsiEstimate(h_hat=h_hat, kind="relative", epsilon=epsilon)

@@ -122,9 +122,7 @@ def run_round(
     return record
 
 
-def derive_secret_half(
-    p_own: PrimeInput, record: HmacRoundRecord, ctx: PrecisionContext
-) -> int:
+def derive_secret_half(p_own: PrimeInput, record: HmacRoundRecord) -> int:
     """The listener folds its own prime into the recovered product."""
     if record.recovered is None:
         raise RoundRecoveryFailure(record, "round did not recover an integer")
@@ -153,7 +151,7 @@ def run_protocol_hmac(
     for j in range(n):
         try:
             record = run_round(j, primes, ch, csi, ctx, rng=rng, tol=tol, logs=logs)
-            secrets.append(derive_secret_half(primes[j], record, ctx))
+            secrets.append(derive_secret_half(primes[j], record))
         except RoundRecoveryFailure as e:
             record = e.record
             secrets.append(None)

@@ -163,11 +163,11 @@ def run_trial(cfg: ExperimentConfig, trial: int):
     primes, collisions = sample_distinct_primes(cfg.n_users, cfg.prime_digits, rng)
     ch = draw_channel(
         cfg.n_users, _fading_model(cfg), Decimal(cfg.h_star),
-        Decimal(cfg.noise_variance), rng, ctx,
+        Decimal(cfg.noise_variance), rng,
     )
     if cfg.eve and cfg.eve_taps == "rayleigh":
         ch = ch.with_eve_taps(
-            rayleigh_taps(cfg.n_users, cfg.eve_rayleigh_scale, rng, ctx)
+            rayleigh_taps(cfg.n_users, cfg.eve_rayleigh_scale, rng)
         )
     secret = math.prod(p.value for p in primes)
 
@@ -177,7 +177,6 @@ def run_trial(cfg: ExperimentConfig, trial: int):
             "relative" if cfg.csi_error > 0 else "perfect",
             cfg.csi_error,
             rng,
-            ctx,
         )
         transcript = run_protocol_hmac(primes, ch, csi, ctx, rng=rng)
     else:

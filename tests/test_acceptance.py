@@ -74,7 +74,7 @@ def test_criterion_2_full_duplex_exact_recovery(capsys):
             for trial in range(200):
                 rng = random.Random(child_seed(seed, trial))
                 primes, _ = sample_distinct_primes(n, 5, rng)
-                ch = draw_channel(n, FadingModel.integer(c_max), 1, 0, rng, ctx)
+                ch = draw_channel(n, FadingModel.integer(c_max), 1, 0, rng)
                 t = run_protocol_fmac(primes, ch, ctx)
                 want = math.prod(p.value for p in primes)
                 maps_ok = all(
@@ -201,7 +201,7 @@ def test_criterion_5_trailing_digit_security(capsys):
     for k in range(trials):
         rng = random.Random(child_seed(50, k))
         primes, _ = sample_distinct_primes(3, 6, rng)
-        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng, ctx)
+        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng)
         # Eve's effective per-link exponent ratio drawn in (1.0001, 1.01)
         ch = ch.with_eve_taps(
             [

@@ -29,7 +29,7 @@ CTX = PrecisionContext(128)
 def hmac_setup(n, seed, taps=None, digits=6):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, digits, rng)
-    ch = draw_channel(n, FadingModel.rayleigh(1), 1, 0, rng, CTX)
+    ch = draw_channel(n, FadingModel.rayleigh(1), 1, 0, rng)
     if taps is not None:
         ch = ch.with_eve_taps(taps(ch, rng))
     csi = estimate_csi(ch)
@@ -39,7 +39,7 @@ def hmac_setup(n, seed, taps=None, digits=6):
 def fmac_setup(n, c_max, seed, taps=None):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, 4, rng)
-    ch = draw_channel(n, FadingModel.integer(c_max), 1, 0, rng, CTX)
+    ch = draw_channel(n, FadingModel.integer(c_max), 1, 0, rng)
     if taps is not None:
         ch = ch.with_eve_taps(taps(ch, rng))
     return primes, ch
@@ -92,7 +92,7 @@ class TestEveAttackHalf:
     def test_single_transmitter_power_law(self):
         # one 6-digit prime through ratio 1.001001 lands near p^1.001001
         primes = [PrimeInput(100003, 6), PrimeInput(100019, 6)]
-        ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         ch = ch.with_eve_taps([Decimal("1.001001"), Decimal("1.001001")])
         record = run_round(1, primes, ch, estimate_csi(ch), CTX)
         report = eve_attack_half(record, primes, ch, CTX)
@@ -118,7 +118,7 @@ class TestEveAttackHalf:
 
     def test_factored_identity(self):
         # |psi_legit - psi_eve| == psi_legit * |E_r| to tight tolerance
-        primes, ch, csi = hmac_setup(4, 6, taps=lambda ch, rng: rayleigh_taps(4, 1, rng, CTX))
+        primes, ch, csi = hmac_setup(4, 6, taps=lambda ch, rng: rayleigh_taps(4, 1, rng))
         record = run_round(0, primes, ch, csi, CTX)
         report = eve_attack_half(record, primes, ch, CTX)
         with CTX.local():
@@ -130,7 +130,7 @@ class TestEveAttackHalf:
         # ideal gains and matched taps: Eve recombines two rounds exactly
         rng = random.Random(7)
         primes, _ = sample_distinct_primes(3, 6, rng)
-        ch = draw_channel(3, FadingModel.ideal(), 1, 0, rng, CTX)
+        ch = draw_channel(3, FadingModel.ideal(), 1, 0, rng)
         csi = estimate_csi(ch)
         r0 = run_round(0, primes, ch, csi, CTX)
         r1 = run_round(1, primes, ch, csi, CTX)
@@ -143,7 +143,7 @@ class TestEveAttackHalf:
 
     def test_two_round_interception_fails_off_integer(self):
         primes, ch, csi = hmac_setup(
-            3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng, CTX)
+            3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
         r0 = run_round(0, primes, ch, csi, CTX)
         r1 = run_round(1, primes, ch, csi, CTX)
@@ -168,7 +168,7 @@ class TestEveAttackFull:
     def test_rayleigh_taps_fail(self):
         for seed in range(20):
             primes, ch = fmac_setup(
-                4, 4, seed, taps=lambda ch, rng: rayleigh_taps(4, 1, rng, CTX)
+                4, 4, seed, taps=lambda ch, rng: rayleigh_taps(4, 1, rng)
             )
             obs = run_full_round(primes, ch, CTX)
             report = eve_attack_full(primes, obs, ch, CTX)
@@ -180,7 +180,7 @@ class TestEveAttackFull:
         from dataclasses import replace
 
         primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
-        ch = draw_channel(2, FadingModel.integer(1), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(2, FadingModel.integer(1), 1, 0, random.Random(0))
         h = ((Decimal(0), Decimal(2)), (Decimal(2), Decimal(0)))
         ch = replace(ch, h=h, c=((0, 2), (2, 0)))
         ch = ch.with_eve_taps([Decimal("2.001"), Decimal("1.999")])
@@ -200,7 +200,7 @@ class TestEveAttackFull:
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - c_i0)), where the
         # receiver's own delta is the full r_0 (Eve hears it, receiver not)
         primes, ch = fmac_setup(
-            3, 3, 10, taps=lambda ch, rng: rayleigh_taps(3, 1, rng, CTX)
+            3, 3, 10, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
         obs = run_full_round(primes, ch, CTX)
         report = eve_attack_full(primes, obs, ch, CTX)

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import pytest
 
@@ -22,7 +22,7 @@ CTX = PrecisionContext(50)
 
 
 def ideal_channel(n, noise="0"):
-    return draw_channel(n, FadingModel.ideal(), 1, Decimal(noise), random.Random(0), CTX)
+    return draw_channel(n, FadingModel.ideal(), 1, Decimal(noise), random.Random(0))
 
 
 class TestFadingModel:
@@ -50,13 +50,13 @@ class TestDrawChannel:
 
     def test_forced_c_equals_one(self):
         ch = draw_channel(
-            2, FadingModel.integer(1), Decimal("0.5"), 0, random.Random(1), CTX
+            2, FadingModel.integer(1), Decimal("0.5"), 0, random.Random(1)
         )
         assert ch.h[0][1] == ch.h[1][0] == Decimal("0.5")
         assert ch.c[0][1] == 1
 
     def test_reciprocity(self):
-        ch = draw_channel(6, FadingModel.rayleigh(1), 1, 0, random.Random(2), CTX)
+        ch = draw_channel(6, FadingModel.rayleigh(1), 1, 0, random.Random(2))
         for i in range(6):
             for j in range(6):
                 if i != j:
@@ -65,7 +65,7 @@ class TestDrawChannel:
 
     def test_integer_mode_quotients_are_exact(self):
         ch = draw_channel(
-            5, FadingModel.integer(6), Decimal("0.3"), 0, random.Random(3), CTX
+            5, FadingModel.integer(6), Decimal("0.3"), 0, random.Random(3)
         )
         for i in range(5):
             for j in range(5):
@@ -74,23 +74,41 @@ class TestDrawChannel:
                     # exact decimal arithmetic, no rounding anywhere
                     assert ch.h[i][j] == ch.c[i][j] * Decimal("0.3")
 
+    def test_integer_gains_exact_for_long_h_star(self):
+        # more digits than the default context's 75-digit working precision
+        h_star = Decimal("0." + "7" * 90)
+        ch = draw_channel(4, FadingModel.integer(5), h_star, 0, random.Random(9))
+        with localcontext(Context(prec=200)):
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        assert ch.h[i][j] == ch.c[i][j] * h_star
+            assert all(t / h_star in {1, 2, 3, 4, 5} for t in ch.h_eve)
+
+    def test_rayleigh_gains_are_float_decimals(self):
+        ch = draw_channel(5, FadingModel.rayleigh(2), 1, 0, random.Random(11))
+        gains = [ch.h[i][j] for i in range(5) for j in range(5) if i != j]
+        for g in gains + list(ch.h_eve):
+            assert len(g.as_tuple().digits) <= 17
+            assert Decimal(repr(float(g))) == g
+
     def test_deterministic_given_seed(self):
-        a = draw_channel(4, FadingModel.rayleigh(1), 1, 0, random.Random(7), CTX)
-        b = draw_channel(4, FadingModel.rayleigh(1), 1, 0, random.Random(7), CTX)
+        a = draw_channel(4, FadingModel.rayleigh(1), 1, 0, random.Random(7))
+        b = draw_channel(4, FadingModel.rayleigh(1), 1, 0, random.Random(7))
         assert a == b
 
     def test_rejects_single_user(self):
         with pytest.raises(ValueError):
-            draw_channel(1, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+            draw_channel(1, FadingModel.ideal(), 1, 0, random.Random(0))
 
     def test_rejects_non_positive_h_star(self):
         with pytest.raises(NonPositiveGain):
-            draw_channel(2, FadingModel.ideal(), 0, 0, random.Random(0), CTX)
+            draw_channel(2, FadingModel.ideal(), 0, 0, random.Random(0))
 
     def test_rayleigh_mean_matches_theory(self):
         # Monte-Carlo oracle: Rayleigh(scale=1) has mean sqrt(pi/2)
         rng = random.Random(7)
-        taps = rayleigh_taps(100_000, 1, rng, CTX)
+        taps = rayleigh_taps(100_000, 1, rng)
         mean = float(sum(taps)) / len(taps)
         assert abs(mean - math.sqrt(math.pi / 2)) / math.sqrt(math.pi / 2) < 0.02
 
@@ -98,7 +116,7 @@ class TestDrawChannel:
         rng = random.Random(8)
         xs, ys = [], []
         for _ in range(20_000):
-            ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, rng, CTX)
+            ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, rng)
             xs.append(float(ch.h[0][1]))
             ys.append(float(ch.h_eve[0]))
         n = len(xs)
@@ -117,7 +135,7 @@ class TestSuperpose:
 
     def test_gain_scales_signal(self):
         ch = draw_channel(
-            2, FadingModel.integer(2), Decimal(1), 0, random.Random(12), CTX
+            2, FadingModel.integer(2), Decimal(1), 0, random.Random(12)
         )
         s = ln(3, CTX)
         y = superpose([s, None], receiver=1, exclude_self=True, ch=ch, ctx=CTX)
@@ -155,7 +173,7 @@ class TestEveObserve:
 
     def test_matched_taps_give_ratio_one(self):
         # Eve taps equal to link gains: she sees exactly ln(p)
-        ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(6), CTX)
+        ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(6))
         ch = ch.with_eve_taps([ch.h[0][1], ch.h[1][0]])
         with CTX.local():
             sig = [ln(5, CTX) / ch.h[0][1], None]
@@ -173,7 +191,7 @@ class TestEveObserve:
 
 class TestCsi:
     def test_perfect(self):
-        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(4), CTX)
+        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(4))
         csi = estimate_csi(ch)
         assert csi.h_hat == ch.h
 
@@ -185,8 +203,8 @@ class TestCsi:
         rng = random.Random(10)
         worst = 0.0
         for _ in range(200):
-            ch = draw_channel(5, FadingModel.rayleigh(1), 1, 0, rng, CTX)
-            csi = estimate_csi(ch, "relative", 0.01, rng, CTX)
+            ch = draw_channel(5, FadingModel.rayleigh(1), 1, 0, rng)
+            csi = estimate_csi(ch, "relative", 0.01, rng)
             for i in range(5):
                 for j in range(5):
                     if i != j:
@@ -194,13 +212,26 @@ class TestCsi:
                         worst = max(worst, float(dev))
         assert 0 < worst <= 0.01
 
+    def test_relative_error_below_float_resolution_is_exact(self):
+        # 1 + 1e-40 is 1 in float: the estimate must stay a decimal product
+        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(4))
+        csi = estimate_csi(ch, "relative", 1e-40, random.Random(5))
+        replay = random.Random(5)
+        with localcontext(Context(prec=200)):
+            for i in range(3):
+                for j in range(3):
+                    if i != j:
+                        e = Decimal(repr(replay.uniform(-1e-40, 1e-40)))
+                        assert csi.h_hat[i][j] != ch.h[i][j]
+                        assert csi.h_hat[i][j] == ch.h[i][j] * (1 + e)
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             estimate_csi(ideal_channel(2), "additive")
 
 
 def test_channel_json_dump_round_trips():
-    ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(21), CTX)
+    ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(21))
     doc = json.loads(ch.to_json(seed=21))
     assert doc["n"] == 3
     assert doc["model"] == "rayleigh"

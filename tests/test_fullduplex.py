@@ -25,7 +25,7 @@ CTX = PrecisionContext(64)
 
 def integer_channel(n, c_max, seed, h_star="1", ctx=CTX):
     return draw_channel(
-        n, FadingModel.integer(c_max), Decimal(h_star), 0, random.Random(seed), ctx
+        n, FadingModel.integer(c_max), Decimal(h_star), 0, random.Random(seed)
     )
 
 
@@ -87,7 +87,7 @@ class TestRunFullRound:
             assert primes[j].value not in obs[j].exponent_map.primes()
 
     def test_requires_integer_channel(self):
-        ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(0))
         with pytest.raises(ValueError):
             run_full_round([PrimeInput(2, 1), PrimeInput(3, 1)], ch, CTX)
 

@@ -26,7 +26,7 @@ CTX = PrecisionContext(64)
 def make_setup(n, model, seed, ctx=CTX, digits=6, noise="0"):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, digits, rng)
-    ch = draw_channel(n, model, 1, Decimal(noise), rng, ctx)
+    ch = draw_channel(n, model, 1, Decimal(noise), rng)
     csi = estimate_csi(ch)
     return primes, ch, csi, rng
 
@@ -55,7 +55,7 @@ class TestPreProcess:
 class TestRunRound:
     def test_ideal_three_users(self):
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
-        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         record = run_round(0, primes, ch, estimate_csi(ch), CTX)
         assert record.recovered == 15
         assert record.receiver == 0
@@ -74,8 +74,8 @@ class TestRunRound:
         for seed in range(trials):
             rng = random.Random(seed)
             primes, _ = sample_distinct_primes(3, 6, rng)
-            ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng, CTX)
-            csi = estimate_csi(ch, "relative", 0.1, rng, CTX)
+            ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng)
+            csi = estimate_csi(ch, "relative", 0.1, rng)
             try:
                 run_round(0, primes, ch, csi, CTX, tol=Decimal("1e-6"))
             except RoundRecoveryFailure as e:
@@ -96,29 +96,29 @@ class TestRunRound:
 class TestDeriveSecret:
     def test_folds_own_prime(self):
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
-        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         record = run_round(0, primes, ch, estimate_csi(ch), CTX)
-        assert derive_secret_half(primes[0], record, CTX) == 30
+        assert derive_secret_half(primes[0], record) == 30
 
     def test_same_secret_from_every_view(self):
         primes, ch, csi, _ = make_setup(4, FadingModel.rayleigh(1), 3)
         want = math.prod(p.value for p in primes)
         for j in range(4):
             record = run_round(j, primes, ch, csi, CTX)
-            assert derive_secret_half(primes[j], record, CTX) == want
+            assert derive_secret_half(primes[j], record) == want
 
     def test_failed_round_raises(self):
         from airkey import HmacRoundRecord
 
         rec = HmacRoundRecord(0, {}, Decimal(0), Decimal(1), None, Decimal(0), "x")
         with pytest.raises(RoundRecoveryFailure):
-            derive_secret_half(PrimeInput(2, 1), rec, CTX)
+            derive_secret_half(PrimeInput(2, 1), rec)
 
 
 class TestProtocol:
     def test_two_users_ideal(self):
         primes = [PrimeInput(2, 1), PrimeInput(3, 1)]
-        ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         t = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX)
         assert t.per_user_secret == [6, 6]
         assert t.rounds_used == 2
@@ -152,14 +152,14 @@ class TestProtocol:
         for seed in range(10):
             rng = random.Random(seed)
             primes, _ = sample_distinct_primes(4, 6, rng)
-            ch = draw_channel(4, FadingModel.rayleigh(1), 1, Decimal("0.001"), rng, CTX)
+            ch = draw_channel(4, FadingModel.rayleigh(1), 1, Decimal("0.001"), rng)
             t = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX, rng=rng)
             assert len(t.per_user_secret) == 4
             failures += sum(s is None for s in t.per_user_secret)
         assert failures > 0
 
     def test_prime_count_must_match_users(self):
-        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0), CTX)
+        ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         with pytest.raises(ValueError):
             run_protocol_hmac([PrimeInput(2, 1)], ch, estimate_csi(ch), CTX)
 
