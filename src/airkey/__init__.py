@@ -3,7 +3,6 @@ channel: half-duplex (N-round) and full-duplex (1-round) schemes, a passive
 eavesdropper model, and a reproducible Monte-Carlo harness."""
 
 from .arith import (
-    BigReal,
     PrecisionContext,
     exp,
     leading_digit_overlap,
@@ -12,7 +11,6 @@ from .arith import (
     to_bigreal,
 )
 from .adversary import (
-    EveReport,
     digit_security_report,
     error_factor,
     error_factor_from_deltas,
@@ -21,11 +19,9 @@ from .adversary import (
 )
 from .channel import (
     ChannelState,
-    CsiEstimate,
     FadingModel,
     draw_channel,
     estimate_csi,
-    eve_observe,
     rayleigh_taps,
     superpose,
 )
@@ -38,12 +34,10 @@ from .errors import (
     NonPositiveInput,
     NotNearInteger,
     Overflow,
-    RecoveryFailure,
     RoundRecoveryFailure,
 )
 from .fullduplex import (
     FmacObservation,
-    pre_process_full,
     recover_secret_full,
     run_full_round,
     run_protocol_fmac,
@@ -51,7 +45,7 @@ from .fullduplex import (
 from .halfduplex import (
     HmacRoundRecord,
     derive_secret_half,
-    pre_process_half,
+    pre_process,
     run_protocol_hmac,
     run_round,
 )
@@ -65,7 +59,7 @@ from .integers import (
     sample_distinct_primes,
     sample_prime,
 )
-from .keys import AgreementResult, DerivedKey, derive_key, group_agreement
+from .keys import derive_key
 from .transcript import ProtocolTranscript
 
 __version__ = "0.1.0"

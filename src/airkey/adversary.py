@@ -14,22 +14,21 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from dataclasses import dataclass
+from decimal import Decimal
 
 from .arith import (
     BigReal,
     PrecisionContext,
-    elevate_for_magnitude,
     exp,
     leading_digit_overlap,
     ln,
     round_to_integer,
 )
-from .channel import ChannelState, eve_observe
+from .channel import ChannelState, superpose
 from .errors import FactorBoundExceeded, NotNearInteger
-from .fullduplex import FmacObservation, pre_process_full
-from .halfduplex import HmacRoundRecord
+from .fullduplex import FmacObservation
+from .halfduplex import HmacRoundRecord, pre_process
 from .integers import PrimeInput, factorize, radical
 
 
@@ -66,7 +65,7 @@ class EveReport:
 
 def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
     """1 - prod(p_i ** delta_i): the multiplicative gap Eve's value carries."""
-    with localcontext(ctx._context(ctx._working_prec())):
+    with ctx.local():
         s = Decimal(0)
         for p, d in zip(primes, deltas):
             value = p.value if isinstance(p, PrimeInput) else p
@@ -80,12 +79,12 @@ def error_factor(primes, exponent_ratios, ctx: PrecisionContext) -> BigReal:
 
 
 def _power(base: int, exponent: BigReal, ctx: PrecisionContext) -> BigReal:
-    with localcontext(ctx._context(ctx._working_prec())):
+    with ctx.local():
         return exp(Decimal(exponent) * ln(base, ctx), ctx)
 
 
 def _discrepancy(psi_legit, psi_eve, ctx):
-    with localcontext(ctx._context(ctx._working_prec())):
+    with ctx.local():
         gap = abs(psi_legit - psi_eve)
         e_r = 1 - psi_eve / psi_legit
     return +gap, +e_r
@@ -98,7 +97,6 @@ def eve_attack_half(
     ctx: PrecisionContext,
     true_secret: int | None = None,
     second_record: HmacRoundRecord | None = None,
-    tol: BigReal | None = None,
 ) -> EveReport:
     """Eve against a half-duplex round (noiseless sniffing, worst case).
 
@@ -108,20 +106,15 @@ def eve_attack_half(
     listeners she rounds both reconstructions and, if both are integers,
     recombines them via their least common multiple.
     """
-    tol = ctx.tolerance if tol is None else tol
-    quiet = replace(ch, noise_variance=Decimal(0))
 
     def eve_post(rec: HmacRoundRecord) -> BigReal:
-        work = elevate_for_magnitude(ctx, rec.post_value.adjusted() + 2)
-        signals: list[BigReal | None] = [None] * ch.n_users
-        for i, s in rec.signals.items():
-            signals[i] = s
-        return exp(eve_observe(signals, quiet, ctx=work), work)
+        signals = [rec.signals.get(i) for i in range(ch.n_users)]
+        return exp(superpose(signals, ch.h_eve, 0), ctx)
 
     psi_eve = eve_post(record)
     psi_legit = record.post_value
     transmitters = sorted(record.signals)
-    with localcontext(ctx._context(ctx._working_prec())):
+    with ctx.local():
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
         ratios = [
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
@@ -138,8 +131,8 @@ def eve_attack_half(
     if second_record is not None:
         mode = "half-two-round"
         try:
-            a1 = round_to_integer(psi_eve, tol)
-            a2 = round_to_integer(eve_post(second_record), tol)
+            a1 = round_to_integer(psi_eve, ctx.tolerance)
+            a2 = round_to_integer(eve_post(second_record), ctx.tolerance)
             key_equal = true_secret is not None and math.lcm(a1, a2) == true_secret
         except NotNearInteger:
             key_equal = False
@@ -163,7 +156,6 @@ def eve_attack_full(
     ctx: PrecisionContext,
     receiver: int = 0,
     true_secret: int | None = None,
-    tol: BigReal | None = None,
 ) -> EveReport:
     """Eve against the full-duplex exchange.
 
@@ -175,19 +167,17 @@ def eve_attack_full(
     """
     if ch.c is None:
         raise ValueError("full-duplex attack needs an integer-fading channel")
-    tol = ctx.tolerance if tol is None else tol
-    quiet = replace(ch, noise_variance=Decimal(0))
     magnitude = int(
         sum(
             float(ch.h_eve[i]) / float(ch.h_star) * math.log10(primes[i].value)
             for i in range(ch.n_users)
         )
     )
-    work = elevate_for_magnitude(ctx, magnitude + 2)
-    signals = [pre_process_full(p, ch.h_star, work) for p in primes]
-    psi_eve = exp(eve_observe(signals, quiet, ctx=work), work)
+    work = ctx.sized(magnitude + 1)
+    signals = [pre_process(p, ch.h_star, work) for p in primes]
+    psi_eve = exp(superpose(signals, ch.h_eve, 0), work)
     psi_legit = observations[receiver].post_value
-    with localcontext(ctx._context(ctx._working_prec())):
+    with ctx.local():
         ratios = [+(ch.h_eve[i] / ch.h_star) for i in range(ch.n_users)]
         v = [
             +(ratios[i] / ch.c[i][receiver])
@@ -208,7 +198,7 @@ def eve_attack_full(
         true_secret = math.prod(p.value for p in primes)
     key_equal = False
     try:
-        value = round_to_integer(psi_eve, tol)
+        value = round_to_integer(psi_eve, ctx.tolerance)
         key_equal = radical(factorize(value)) == true_secret
     except (NotNearInteger, FactorBoundExceeded, ValueError):
         key_equal = False

@@ -3,11 +3,27 @@
 Everything the protocols transmit is a real number carried as a base-10
 ``decimal.Decimal``.  Base-10 matters: the digit-agreement analysis of the
 eavesdropper reasons about decimal digits, so a binary significand would make
-those statements untestable.  A :class:`PrecisionContext` pins the number of
-significant digits.  ``ln``/``exp`` are evaluated directly at the target
+those statements untestable.
+
+One rule decides how many digits to carry.  A :class:`PrecisionContext` of
+``digits`` digits has the tolerance exponent ``T = digits // 4``: a value is
+accepted as an integer when it lies within ``10**-T`` of one.  A value whose
+result has ``m`` integer digits is carried at
+
+    digits_for(m) = max(digits, m + T + 2 * GUARD)
+
+digits, so at least its integer part and ``T + 2 * GUARD`` fractional
+digits are resolved.  A protocol applies the rule once to its worst receiver
+with :meth:`PrecisionContext.sized`, so the logs it takes carry every digit
+the product needs.  ``exp`` applies it only when its result's integer part
+does not fit with ``GUARD`` digits to spare (decimal exponent + GUARD >
+digits), so ``exp`` on a sized context adds no digits.  A strict context
+(``elastic=False``) is never widened: ``exp`` raises :class:`Overflow` in
+that case instead.  ``ln``/``exp`` are evaluated directly at the carried
 precision: libmpdec returns them correctly rounded (half-even), which is well
-inside a 2-ulp error bound.  Ambient ``+``/``*``/``/`` run at a wider working
-precision (:meth:`PrecisionContext.local`) so sums of logs keep their digits.
+inside a 2-ulp error bound.  Ambient ``+``/``*``/``/`` run at
+``digits + GUARD`` (:meth:`PrecisionContext.local`) so sums of logs keep
+their digits.
 """
 
 from __future__ import annotations
@@ -24,75 +40,72 @@ BigReal = Decimal
 _LN10 = math.log(10)
 _EMAX = 10**9
 
+# Headroom in digits: a sized value keeps 2 * GUARD fractional digits below
+# the tolerance, and ambient arithmetic GUARD digits beyond the carried ones.
+GUARD = 16
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision for all transcendental arithmetic.
 
     digits
-        significant decimal digits carried by results (>= 16).
+        significant decimal digits carried (>= 16); no value is ever carried
+        at fewer.
     elastic
-        when True, ``exp`` silently raises its own output precision so that
-        results with more than ``digits`` integer digits are still resolved
-        exactly; when False such results raise :class:`Overflow` instead of
-        ever mis-rounding.
-    guard
-        headroom (in digits) kept between a result's magnitude and the
-        context precision before the elastic/overflow decision triggers.
+        when True, :meth:`sized` and ``exp`` carry a result at the digits the
+        module's rule gives it; when False the context is never widened and
+        ``exp`` raises :class:`Overflow` instead of ever mis-rounding.
     max_exponent
         hard bound on the decimal exponent of any ``exp`` result.
     """
 
     digits: int = 50
     elastic: bool = True
-    guard: int = 16
     max_exponent: int = 1_000_000
 
     def __post_init__(self):
         if self.digits < 16:
             raise ValueError("precision context needs at least 16 digits")
-        if self.guard < 1:
-            raise ValueError("guard must be positive")
 
     @property
     def tolerance(self) -> Decimal:
-        """Default integer-rounding tolerance: 10^-(digits/4).
+        """Integer-rounding tolerance 10^-T, T = digits // 4.
 
         Leaves large headroom over the 2-ulp arithmetic error while still
         rejecting genuinely corrupted values.
         """
         return Decimal(1).scaleb(-(self.digits // 4))
 
+    def digits_for(self, m: int) -> int:
+        """Digits to carry for a result with ``m`` integer digits."""
+        return max(self.digits, m + self.digits // 4 + 2 * GUARD)
+
+    def sized(self, m: int) -> "PrecisionContext":
+        """This context carrying ``digits_for(m)`` digits.
+
+        Exponentiating amplifies any error in its argument by the size of the
+        result, so the log-domain inputs must already carry as many digits as
+        the product will have.  Size the caller's context once and keep
+        reading the tolerance from the caller's context.  A strict context
+        is returned unchanged: ``exp`` then raises Overflow instead of being
+        silently rescued here.
+        """
+        if not self.elastic:
+            return self
+        return replace(self, digits=self.digits_for(m))
+
     def _context(self, prec: int) -> Context:
         return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=_EMAX, Emin=-_EMAX)
 
     def local(self):
-        """Run ambient Decimal arithmetic at this context's working precision.
+        """Run ambient Decimal arithmetic at ``digits + GUARD`` digits.
 
         Plain ``+``/``*`` on Decimals obey the thread's current context
         (28 digits by default), so callers composing BigReals must wrap the
         arithmetic:  ``with ctx.local(): y = ln(a, ctx) + ln(b, ctx)``.
         """
-        return localcontext(self._context(self._working_prec()))
-
-    def _working_prec(self) -> int:
-        # 1.5x the context precision, but the surplus never needs to exceed
-        # a few dozen digits: cap it so very wide contexts stay affordable.
-        return self.digits + max(16, min(self.digits // 2, 64))
-
-
-def elevate_for_magnitude(ctx: PrecisionContext, magnitude: int) -> PrecisionContext:
-    """Context with enough digits to resolve a value of about 10**magnitude.
-
-    Exponentiating amplifies any error in its argument by the size of the
-    result, so the log-domain inputs must already carry as many digits as
-    the product will have.  A non-elastic context is returned unchanged:
-    ``exp`` then raises Overflow instead of being silently rescued here.
-    """
-    needed = magnitude + 2 * ctx.guard + ctx.digits // 4
-    if needed <= ctx.digits or not ctx.elastic:
-        return ctx
-    return replace(ctx, digits=needed)
+        return localcontext(self._context(self.digits + GUARD))
 
 
 def to_bigreal(value) -> BigReal:
@@ -117,13 +130,13 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
 
 
 def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
-    """e**x, correctly rounded to the precision of the returned value.
+    """e**x, correctly rounded to the carried precision.
 
     libmpdec rounds ``exp`` correctly, so the result is within 0.5 ulp,
-    inside the 2-ulp contract.  The returned precision is ctx.digits unless
-    the result carries more integer digits than that; an elastic context then
-    widens the output so the integer part stays exactly representable, a
-    strict context raises :class:`Overflow`.
+    inside the 2-ulp contract.  The carried precision is ``ctx.digits``
+    unless the result's decimal exponent plus GUARD exceeds it; an elastic
+    context then carries ``ctx.digits_for(m)`` for a result of ``m`` integer
+    digits, a strict context raises :class:`Overflow`.
     """
     x = to_bigreal(x)
     if not x.is_finite():
@@ -135,15 +148,15 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
         raise Overflow(
             f"exp result exponent {magnitude} exceeds bound {ctx.max_exponent}"
         )
-    target = ctx.digits
-    if magnitude + ctx.guard > ctx.digits:
+    carried = ctx.digits
+    if magnitude + GUARD > ctx.digits:
         if not ctx.elastic:
             raise Overflow(
                 f"result needs about {magnitude + 1} integer digits but the "
-                f"context carries only {ctx.digits} (guard {ctx.guard})"
+                f"context carries only {ctx.digits} (guard {GUARD})"
             )
-        target = magnitude + ctx.guard + ctx.digits // 2
-    return x.exp(ctx._context(target))
+        carried = ctx.digits_for(magnitude + 1)
+    return x.exp(ctx._context(carried))
 
 
 def nearest_integer(x: BigReal):

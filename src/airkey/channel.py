@@ -7,11 +7,14 @@ logarithms by gains and compare real-valued products, so complex phase has
 no place here.  A channel is immutable once drawn (block fading within one
 protocol execution) and all randomness flows through explicit generators.
 
-Drawing a channel does not depend on the protocol's working precision.  A
-Rayleigh gain comes from one 53-bit uniform, so it is computed in float and
-stored exactly as the float's shortest round-trip decimal, at most 17
-significant digits.  Integer-mode gains c * h_star and relative CSI estimates
-h * (1 + e) are exact decimal products, never rounded.
+Neither drawing a channel nor observing through it depends on the
+protocol's working precision.  A Rayleigh gain comes from one 53-bit
+uniform, so it is computed in float and stored exactly as the float's
+shortest round-trip decimal, at most 17 significant digits.  Integer-mode
+gains c * h_star and relative CSI estimates h * (1 + e) are exact decimal
+products, never rounded, and so is an observation: the sum of gain times
+signal over the transmitters.  Precision is decided only where an
+observation is exponentiated, by the rule of :mod:`airkey.arith`.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import random
 from dataclasses import dataclass, replace
 from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
 
-from .arith import BigReal, PrecisionContext, to_bigreal
+from .arith import BigReal, to_bigreal
 from .errors import NonPositiveGain
 
-_DEFAULT_CTX = PrecisionContext(50)
 # Products and sums of finite decimals are finite decimals: with unbounded
 # precision they never round, and Inexact is trapped should one ever try.
 _EXACT = Context(prec=MAX_PREC, traps=[Inexact, InvalidOperation])
@@ -180,57 +182,30 @@ def _noise_sample(variance: BigReal, rng: random.Random) -> BigReal:
 
 def superpose(
     signals,
-    receiver: int,
-    exclude_self: bool,
-    ch: ChannelState,
+    taps,
+    noise_variance,
     rng: random.Random | None = None,
-    ctx: PrecisionContext = _DEFAULT_CTX,
 ) -> BigReal:
-    """Receiver-side observation: sum of h[i][receiver] * signal_i plus noise.
+    """One receiver's observation: sum of taps[i] * signals[i] plus noise.
 
-    ``exclude_self`` models both the half-duplex receiver (which stays
-    silent) and ideal self-interference cancellation (own term removed).
-    Entries of ``signals`` may be None for users that do not transmit.
+    Receiver j passes column j of ``ch.h``; its zero diagonal drops the
+    receiver's own term, which models both the silent half-duplex listener
+    and ideal self-interference cancellation.  The eavesdropper passes
+    ``ch.h_eve`` and zero noise.  Entries of ``signals`` may be None for
+    users that do not transmit.  The sum is exact.
     """
-    if len(signals) != ch.n_users:
-        raise ValueError("need one signal slot per user")
-    with localcontext(ctx._context(ctx._working_prec())):
+    if len(signals) != len(taps):
+        raise ValueError("need one signal slot per tap")
+    with localcontext(_EXACT):
         total = Decimal(0)
-        for i, s in enumerate(signals):
-            if s is None or (exclude_self and i == receiver):
-                continue
-            total += ch.h[i][receiver] * s
-        if ch.noise_variance > 0:
+        for s, g in zip(signals, taps):
+            if s is not None:
+                total += g * s
+        if noise_variance > 0:
             if rng is None:
                 raise ValueError("a noisy channel needs an rng")
-            total += _noise_sample(ch.noise_variance, rng)
-        return +total
-
-
-def eve_observe(
-    signals,
-    ch: ChannelState,
-    rng: random.Random | None = None,
-    ctx: PrecisionContext = _DEFAULT_CTX,
-) -> BigReal:
-    """Eavesdropper observation: sum of h_eve[i] * signal_i plus noise.
-
-    Eve hears the raw superposition; self-interference cancellation never
-    helps her.
-    """
-    if len(signals) != ch.n_users:
-        raise ValueError("need one signal slot per user")
-    with localcontext(ctx._context(ctx._working_prec())):
-        total = Decimal(0)
-        for i, s in enumerate(signals):
-            if s is None:
-                continue
-            total += ch.h_eve[i] * s
-        if ch.noise_variance > 0:
-            if rng is None:
-                raise ValueError("a noisy channel needs an rng")
-            total += _noise_sample(ch.noise_variance, rng)
-        return +total
+            total += _noise_sample(noise_variance, rng)
+    return total
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    doc = {}
+    text = "{}"
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError({"config": f"no such file: {path}"})
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ConfigError({"config": "top-level JSON value must be an object"})
+        text = path.read_text(encoding="utf-8")
     overrides = {
         "protocol": args.protocol,
         "n_users": args.n_users,
@@ -60,8 +58,9 @@ def _load_config(args) -> ExperimentConfig:
         "eve": args.eve,
         "precision_digits": args.precision_digits,
     }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_json(
+        text, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def main(argv=None) -> int:
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (AirkeyError, OSError, json.JSONDecodeError) as e:
+    except (AirkeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     return 0

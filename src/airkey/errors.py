@@ -52,15 +52,6 @@ class RoundRecoveryFailure(AirkeyError):
         super().__init__(f"receiver {record.receiver}: {cause}")
 
 
-class RecoveryFailure(AirkeyError):
-    """A full-duplex receiver could not recover its exponent map."""
-
-    def __init__(self, receiver, cause):
-        self.receiver = receiver
-        self.cause = cause
-        super().__init__(f"receiver {receiver}: {cause}")
-
-
 class DuplicatePrimeDetected(AirkeyError):
     """Two users picked the same prime; the radical step would merge them."""
 

@@ -14,23 +14,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from decimal import localcontext
-
-from .arith import (
-    BigReal,
-    PrecisionContext,
-    elevate_for_magnitude,
-    exp,
-    ln,
-    nearest_integer,
-    to_bigreal,
-)
+from .arith import BigReal, PrecisionContext, exp, nearest_integer
 from .channel import ChannelState, superpose
-from .errors import (
-    DuplicatePrimeDetected,
-    FactorBoundExceeded,
-    NonPositiveGain,
-)
+from .errors import DuplicatePrimeDetected, FactorBoundExceeded
+from .halfduplex import pre_process
 from .integers import Factorization, PrimeInput, factorize, radical
 from .transcript import ProtocolTranscript
 
@@ -65,14 +52,6 @@ class FmacObservation:
         }
 
 
-def pre_process_full(p: PrimeInput, h_star: BigReal, ctx: PrecisionContext) -> BigReal:
-    """Transmit signal: ln(p) divided by the public reference gain."""
-    if h_star <= 0:
-        raise NonPositiveGain(f"h_star must be positive, got {h_star}")
-    with localcontext(ctx._context(ctx._working_prec())):
-        return ln(p.value, ctx) / h_star
-
-
 def _check_distinct(primes: list[PrimeInput]):
     values = [p.value for p in primes]
     if len(set(values)) != len(values):
@@ -86,7 +65,6 @@ def run_full_round(
     ch: ChannelState,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
-    tol: BigReal | None = None,
 ) -> list[FmacObservation]:
     """The single simultaneous exchange, evaluated at every receiver.
 
@@ -99,31 +77,23 @@ def run_full_round(
     if len(primes) != ch.n_users:
         raise ValueError("need one prime per user")
     _check_distinct(primes)
-    tol = ctx.tolerance if tol is None else to_bigreal(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    # worst receiver decides the digit demand: sum of c_ij * digits(p_i)
+    # worst receiver decides the digit demand: sum of c_ij * digits(p_i);
+    # the zero diagonal of c drops the receiver's own prime
     magnitude = max(
-        int(
-            sum(
-                ch.c[i][j] * math.log10(primes[i].value)
-                for i in range(ch.n_users)
-                if i != j
-            )
-        )
+        int(sum(ch.c[i][j] * math.log10(p.value) for i, p in enumerate(primes)))
         for j in range(ch.n_users)
     )
-    work = elevate_for_magnitude(ctx, magnitude + 1)
-    signals = [pre_process_full(p, ch.h_star, work) for p in primes]
+    work = ctx.sized(magnitude + 1)
+    signals = [pre_process(p, ch.h_star, work) for p in primes]
     observations: list[FmacObservation] = []
     for j in range(ch.n_users):
-        y = superpose(signals, j, exclude_self=True, ch=ch, rng=rng, ctx=work)
+        y = superpose(signals, [row[j] for row in ch.h], ch.noise_variance, rng)
         post = exp(y, work)
         nearest, distance = nearest_integer(post)
         exponent_map = None
         rad = None
         failure = None
-        if distance > tol:
+        if distance > ctx.tolerance:
             failure = "not-near-integer"
         else:
             try:
@@ -157,10 +127,9 @@ def run_protocol_fmac(
     ch: ChannelState,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
-    tol: BigReal | None = None,
 ) -> ProtocolTranscript:
     """Full-duplex execution; rounds_used is 1 by construction."""
-    observations = run_full_round(primes, ch, ctx, rng=rng, tol=tol)
+    observations = run_full_round(primes, ch, ctx, rng=rng)
     secrets: list[int | None] = []
     for p, obs in zip(primes, observations):
         if obs.recovered_radical is None:

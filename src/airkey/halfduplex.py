@@ -6,6 +6,15 @@ channel superposes the signals, the receiver exponentiates and rounds, and
 multiplying in its own prime yields the shared secret S = product of all
 users' primes.  Repeating with each user as the listener gives everyone S
 in exactly N rounds.
+
+Precision follows the one rule of :mod:`airkey.arith`.  Every round of a
+run is carried at ``ctx.sized(m)``, ``max(digits, m + T + 2 * GUARD)``
+digits, where ``m`` is the number of integer digits of the worst receiver's
+product (every prime but the smallest), so each prime's log is taken once
+per run.  The tolerance stays ``ctx.tolerance = 10**-T``.  A strict
+context (``elastic=False``) is never widened: a product whose integer part
+does not fit with ``GUARD`` digits to spare raises Overflow from ``exp``.
+Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``.
 """
 
 from __future__ import annotations
@@ -13,17 +22,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 
-from .arith import (
-    BigReal,
-    PrecisionContext,
-    elevate_for_magnitude,
-    exp,
-    ln,
-    nearest_integer,
-    to_bigreal,
-)
+from .arith import BigReal, PrecisionContext, exp, ln, nearest_integer
 from .channel import ChannelState, CsiEstimate, superpose
 from .errors import NonPositiveGain, NotNearInteger, RoundRecoveryFailure
 from .integers import PrimeInput
@@ -53,24 +53,26 @@ class HmacRoundRecord:
         }
 
 
-def pre_process_half(
+def pre_process(
     p: PrimeInput,
-    h_hat: BigReal,
+    gain: BigReal,
     ctx: PrecisionContext,
     logs: dict[tuple[int, int], BigReal] | None = None,
 ) -> BigReal:
-    """Transmit signal for one user: ln(p) divided by the estimated gain.
+    """Transmit signal for one user: ln(p) divided by a gain.
 
-    ``logs`` memoizes ln(p) by (prime, digits) across the rounds of one run.
+    The half-duplex scheme divides by the estimated gain toward the
+    listener, the full-duplex scheme by the public reference gain h*.
+    ``logs`` memoizes ln(p) by (prime, digits) across the calls of one run.
     """
-    if h_hat <= 0:
-        raise NonPositiveGain(f"estimated gain must be positive, got {h_hat}")
+    if gain <= 0:
+        raise NonPositiveGain(f"gain must be positive, got {gain}")
     logs = {} if logs is None else logs
     key = (p.value, ctx.digits)
     if key not in logs:
         logs[key] = ln(p.value, ctx)
-    with localcontext(ctx._context(ctx._working_prec())):
-        return logs[key] / h_hat
+    with ctx.local():
+        return logs[key] / gain
 
 
 def run_round(
@@ -80,35 +82,30 @@ def run_round(
     csi: CsiEstimate,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
-    tol: BigReal | None = None,
     logs: dict[tuple[int, int], BigReal] | None = None,
 ) -> HmacRoundRecord:
     """Execute the round in which user ``j`` listens.
 
-    ``logs`` is passed on to :func:`pre_process_half`.  Raises
+    ``logs`` is passed on to :func:`pre_process`.  Raises
     :class:`RoundRecoveryFailure` (carrying the partial record) when the
-    post-processed value does not round to an integer.
+    post-processed value is not within ``ctx.tolerance`` of an integer.
     """
-    tol = ctx.tolerance if tol is None else to_bigreal(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    # the product's digit count decides how many digits the logs must carry
-    magnitude = int(sum(math.log10(primes[i].value) for i in range(ch.n_users) if i != j))
-    work = elevate_for_magnitude(ctx, magnitude + 1)
-    signals: list[BigReal | None] = [None] * ch.n_users
-    kept: dict[int, BigReal] = {}
-    for i in range(ch.n_users):
-        if i == j:
-            continue
-        signals[i] = pre_process_half(primes[i], csi.h_hat[i][j], work, logs)
-        kept[i] = signals[i]
-    observation = superpose(signals, j, exclude_self=True, ch=ch, rng=rng, ctx=work)
+    # the worst receiver hears every prime but the smallest
+    log10s = sorted(math.log10(p.value) for p in primes)
+    work = ctx.sized(int(sum(log10s[1:])) + 1)
+    signals: list[BigReal | None] = [
+        None if i == j else pre_process(primes[i], csi.h_hat[i][j], work, logs)
+        for i in range(ch.n_users)
+    ]
+    observation = superpose(
+        signals, [row[j] for row in ch.h], ch.noise_variance, rng
+    )
     post_value = exp(observation, work)
     nearest, distance = nearest_integer(post_value)
-    near = distance <= tol
+    near = distance <= ctx.tolerance
     record = HmacRoundRecord(
         receiver=j,
-        signals=kept,
+        signals={i: s for i, s in enumerate(signals) if s is not None},
         observation=observation,
         post_value=post_value,
         recovered=nearest if near else None,
@@ -117,7 +114,7 @@ def run_round(
     )
     if not near:
         raise RoundRecoveryFailure(
-            record, NotNearInteger(post_value, nearest, distance, tol)
+            record, NotNearInteger(post_value, nearest, distance, ctx.tolerance)
         )
     return record
 
@@ -135,7 +132,6 @@ def run_protocol_hmac(
     csi: CsiEstimate,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
-    tol: BigReal | None = None,
 ) -> ProtocolTranscript:
     """Full half-duplex execution: every user listens exactly once.
 
@@ -150,7 +146,7 @@ def run_protocol_hmac(
     logs: dict[tuple[int, int], BigReal] = {}
     for j in range(n):
         try:
-            record = run_round(j, primes, ch, csi, ctx, rng=rng, tol=tol, logs=logs)
+            record = run_round(j, primes, ch, csi, ctx, rng=rng, logs=logs)
             secrets.append(derive_secret_half(primes[j], record))
         except RoundRecoveryFailure as e:
             record = e.record

@@ -24,7 +24,6 @@ from .errors import ConfigError
 from .fullduplex import run_protocol_fmac
 from .halfduplex import run_protocol_hmac
 from .integers import sample_distinct_primes
-from .keys import group_agreement
 
 SCHEMA_VERSION = 1
 
@@ -132,14 +131,15 @@ class ExperimentConfig:
         return cfg.validate()
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, **overrides) -> "ExperimentConfig":
+        """Config from a JSON object; ``overrides`` replace its fields first."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError({"config": f"invalid JSON: {e}"}) from e
         if not isinstance(doc, dict):
             raise ConfigError({"config": "top-level JSON value must be an object"})
-        return cls.from_dict(doc)
+        return cls.from_dict({**doc, **overrides})
 
 
 def child_seed(seed: int, trial: int) -> int:
@@ -195,12 +195,10 @@ def run_trial(cfg: ExperimentConfig, trial: int):
                 primes, transcript.rounds, ch, ctx, receiver=0, true_secret=secret
             )
 
-    agreement = group_agreement(transcript.per_user_secret)
-    exact = agreement.agreed and transcript.per_user_secret[0] == secret
     row = {
         "trial": trial,
         "rounds_used": transcript.rounds_used,
-        "group_agreed": int(exact),
+        "group_agreed": int(transcript.agreed_secret() == secret),
         "failures": sum(s is None for s in transcript.per_user_secret),
         "prime_collisions": collisions,
         "eve_key_equal": int(report.key_equal) if report is not None else "",

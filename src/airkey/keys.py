@@ -1,4 +1,4 @@
-"""Key material derivation and group agreement detection.
+"""Key material derivation from the shared secret.
 
 The protocols end with a shared integer; applications want fixed-length
 key bits.  Derivation is a standard extract-then-expand construction over
@@ -46,26 +46,3 @@ def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") 
         okm += block
         counter += 1
     return DerivedKey(key=okm[: length_bits // 8], source_secret=secret)
-
-
-@dataclass(frozen=True)
-class AgreementResult:
-    agreed: bool
-    agreeing_fraction: float
-
-
-def group_agreement(secrets) -> AgreementResult:
-    """Did every user recover the same secret?
-
-    ``agreeing_fraction`` is the share of users holding the most common
-    successfully recovered value; failures (None) never count toward it.
-    """
-    secrets = list(secrets)
-    if not secrets:
-        return AgreementResult(agreed=False, agreeing_fraction=0.0)
-    recovered = [s for s in secrets if s is not None]
-    if not recovered:
-        return AgreementResult(agreed=False, agreeing_fraction=0.0)
-    top = max(recovered.count(v) for v in set(recovered))
-    agreed = top == len(secrets)
-    return AgreementResult(agreed=agreed, agreeing_fraction=top / len(secrets))

@@ -141,6 +141,18 @@ class TestEveAttackHalf:
         assert report.mode == "half-two-round"
         assert report.key_equal
 
+    def test_strict_context_attack_runs_when_product_fits(self):
+        strict = PrecisionContext(64, elastic=False)
+        primes, ch, csi = hmac_setup(4, 6)
+        r0 = run_round(0, primes, ch, csi, strict)
+        r1 = run_round(1, primes, ch, csi, strict)
+        secret = math.prod(p.value for p in primes)
+        report = eve_attack_half(
+            r0, primes, ch, strict, true_secret=secret, second_record=r1
+        )
+        assert report.mode == "half-two-round"
+        assert not report.key_equal
+
     def test_two_round_interception_fails_off_integer(self):
         primes, ch, csi = hmac_setup(
             3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)

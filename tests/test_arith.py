@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 
@@ -14,7 +14,7 @@ from airkey import (
     round_to_integer,
     to_bigreal,
 )
-from airkey.arith import elevate_for_magnitude, nearest_integer
+from airkey.arith import nearest_integer
 
 CTX = PrecisionContext(50)
 
@@ -84,6 +84,13 @@ class TestExp:
         strict = PrecisionContext(32, elastic=False)
         with pytest.raises(Overflow):
             exp(Decimal(200), strict)  # result has ~87 integer digits
+
+    def test_strict_context_resolves_values_that_fit(self):
+        strict = PrecisionContext(32, elastic=False)
+        assert exp(Decimal(1), strict) == Decimal(1).exp(Context(prec=32))
+        v = exp(Decimal(36), strict)  # 16 integer digits, GUARD to spare
+        assert v.adjusted() == 15
+        assert len(v.as_tuple().digits) == 32
 
     def test_elastic_context_widens(self):
         elastic = PrecisionContext(32)
@@ -198,9 +205,21 @@ class TestPrecisionContext:
 
     def test_elevation_preserves_strict_contexts(self):
         strict = PrecisionContext(32, elastic=False)
-        assert elevate_for_magnitude(strict, 500) is strict
-        wide = elevate_for_magnitude(PrecisionContext(32), 500)
+        assert strict.sized(500) is strict
+        wide = PrecisionContext(32).sized(500)
         assert wide.digits > 500
+
+    def test_exp_on_sized_context_adds_no_digits(self):
+        # a sized context resolves the integer part with GUARD to spare, so
+        # exp carries exactly the context's digits and never compounds
+        ctx = PrecisionContext(64)
+        wide = ctx.sized(300)
+        assert wide.digits == 300 + 16 + 32
+        with wide.local():
+            x = 299 * ln(10, wide) + ln(7, wide)  # 7e299: 300 integer digits
+        v = exp(x, wide)
+        assert v.adjusted() == 299
+        assert len(v.as_tuple().digits) == wide.digits
 
     def test_text_round_trip(self):
         v = ln(100003, CTX)

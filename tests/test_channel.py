@@ -12,7 +12,6 @@ from airkey import (
     PrecisionContext,
     draw_channel,
     estimate_csi,
-    eve_observe,
     ln,
     rayleigh_taps,
     superpose,
@@ -127,49 +126,62 @@ class TestDrawChannel:
         assert abs(cov / (sx * sy)) < 0.02
 
 
+def column(ch, j):
+    return [row[j] for row in ch.h]
+
+
 class TestSuperpose:
     def test_only_transmitting_user_heard(self):
         ch = ideal_channel(2)
         a = Decimal("1.25")
-        assert superpose([a, None], receiver=1, exclude_self=True, ch=ch) == a
+        assert superpose([a, None], column(ch, 1), ch.noise_variance) == a
 
     def test_gain_scales_signal(self):
         ch = draw_channel(
             2, FadingModel.integer(2), Decimal(1), 0, random.Random(12)
         )
         s = ln(3, CTX)
-        y = superpose([s, None], receiver=1, exclude_self=True, ch=ch, ctx=CTX)
+        y = superpose([s, None], column(ch, 1), ch.noise_variance)
         with CTX.local():
             assert y == ch.h[0][1] * s
 
+    def test_sum_is_exact(self):
+        # 17-digit gains times 200-digit signals: nothing is rounded
+        ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(13))
+        wide = PrecisionContext(200)
+        sig = [None, ln(3, wide), ln(5, wide)]
+        y = superpose(sig, column(ch, 0), 0)
+        with localcontext(Context(prec=500)):
+            assert y == ch.h[1][0] * sig[1] + ch.h[2][0] * sig[2]
+
     def test_all_zero_signals(self):
         ch = ideal_channel(3)
-        assert superpose([Decimal(0)] * 3, 0, True, ch) == 0
+        assert superpose([Decimal(0)] * 3, column(ch, 0), 0) == 0
 
     def test_own_term_never_heard(self):
         # the diagonal gain is held at 0, so the receiver's own signal
-        # vanishes with or without the exclude_self flag
+        # vanishes whether or not it is passed
         ch = ideal_channel(3)
-        sig = [Decimal(1), Decimal(2), Decimal(4)]
-        assert superpose(sig, 0, True, ch) == 6
-        assert superpose(sig, 0, False, ch) == 6
+        assert superpose([None, Decimal(2), Decimal(4)], column(ch, 0), 0) == 6
+        assert superpose([Decimal(1), Decimal(2), Decimal(4)], column(ch, 0), 0) == 6
 
     def test_noise_changes_observation(self):
         ch = ideal_channel(2, noise="0.01")
         sig = [Decimal(1), None]
-        y = superpose(sig, 1, True, ch, rng=random.Random(5))
+        y = superpose(sig, column(ch, 1), ch.noise_variance, random.Random(5))
         assert y != 1
 
     def test_noisy_channel_requires_rng(self):
         ch = ideal_channel(2, noise="0.01")
         with pytest.raises(ValueError):
-            superpose([Decimal(1), None], 1, True, ch)
+            superpose([Decimal(1), None], column(ch, 1), ch.noise_variance)
 
 
 class TestEveObserve:
+    # the eavesdropper's view is superpose over her own taps, without noise
     def test_unit_tap_passthrough(self):
         ch = ideal_channel(2)
-        assert eve_observe([Decimal("0.75"), None], ch) == Decimal("0.75")
+        assert superpose([Decimal("0.75"), None], ch.h_eve, 0) == Decimal("0.75")
 
     def test_matched_taps_give_ratio_one(self):
         # Eve taps equal to link gains: she sees exactly ln(p)
@@ -177,13 +189,13 @@ class TestEveObserve:
         ch = ch.with_eve_taps([ch.h[0][1], ch.h[1][0]])
         with CTX.local():
             sig = [ln(5, CTX) / ch.h[0][1], None]
-        y = eve_observe(sig, ch, ctx=CTX)
+        y = superpose(sig, ch.h_eve, 0)
         assert abs(y - ln(5, CTX)) < Decimal("1e-45")
 
     def test_two_transmitters_weighted_sum(self):
         ch = ideal_channel(2).with_eve_taps([Decimal("0.999"), Decimal("1.001")])
         l2, l3 = ln(2, CTX), ln(3, CTX)
-        y = eve_observe([l2, l3], ch, ctx=CTX)
+        y = superpose([l2, l3], ch.h_eve, 0)
         with CTX.local():
             want = Decimal("0.999") * l2 + Decimal("1.001") * l3
         assert abs(y - want) < Decimal("1e-45")

@@ -13,7 +13,7 @@ from airkey import (
     PrimeInput,
     draw_channel,
     ln,
-    pre_process_full,
+    pre_process,
     recover_secret_full,
     run_full_round,
     run_protocol_fmac,
@@ -23,7 +23,7 @@ from airkey import (
 CTX = PrecisionContext(64)
 
 
-def integer_channel(n, c_max, seed, h_star="1", ctx=CTX):
+def integer_channel(n, c_max, seed, h_star="1"):
     return draw_channel(
         n, FadingModel.integer(c_max), Decimal(h_star), 0, random.Random(seed)
     )
@@ -42,16 +42,16 @@ def forced_c_channel(primes_n, c):
 
 class TestPreProcess:
     def test_unit_reference(self):
-        assert pre_process_full(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
+        assert pre_process(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
 
     def test_half_reference_doubles(self):
-        got = pre_process_full(PrimeInput(3, 1), Decimal("0.5"), CTX)
+        got = pre_process(PrimeInput(3, 1), Decimal("0.5"), CTX)
         with CTX.local():
             assert abs(got - 2 * ln(3, CTX)) < Decimal("1e-60")
 
     def test_gain_three_cubes(self):
         # gain 3 on a ln(5)/1 signal lands on ln(125)
-        sig = pre_process_full(PrimeInput(5, 1), Decimal(1), CTX)
+        sig = pre_process(PrimeInput(5, 1), Decimal(1), CTX)
         with CTX.local():
             assert abs(3 * sig - ln(125, CTX)) < Decimal("1e-60")
 
@@ -103,7 +103,7 @@ class TestRunFullRound:
         strict = PrecisionContext(64, elastic=False)
         rng = random.Random(11)
         primes, _ = sample_distinct_primes(8, 5, rng)
-        ch = integer_channel(8, 8, 11, ctx=strict)
+        ch = integer_channel(8, 8, 11)
         with pytest.raises(Overflow):
             run_full_round(primes, ch, strict)
 
@@ -134,7 +134,7 @@ class TestRecoverSecret:
         rng = random.Random(12)
         primes, _ = sample_distinct_primes(6, 5, rng)
         ctx = PrecisionContext(256)
-        ch = integer_channel(6, 8, 12, ctx=ctx)
+        ch = integer_channel(6, 8, 12)
         obs = run_full_round(primes, ch, ctx)
         want = math.prod(p.value for p in primes)
         for j in range(6):
@@ -162,7 +162,7 @@ class TestProtocol:
         rng = random.Random(13)
         primes, _ = sample_distinct_primes(12, 5, rng)
         ctx = PrecisionContext(256)
-        ch = integer_channel(12, 8, 13, ctx=ctx)
+        ch = integer_channel(12, 8, 13)
         t = run_protocol_fmac(primes, ch, ctx)
         want = math.prod(p.value for p in primes)
         assert t.per_user_secret == [want] * 12

@@ -14,7 +14,7 @@ from airkey import (
     draw_channel,
     estimate_csi,
     ln,
-    pre_process_half,
+    pre_process,
     run_protocol_hmac,
     run_round,
     sample_distinct_primes,
@@ -23,7 +23,7 @@ from airkey import (
 CTX = PrecisionContext(64)
 
 
-def make_setup(n, model, seed, ctx=CTX, digits=6, noise="0"):
+def make_setup(n, model, seed, digits=6, noise="0"):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, digits, rng)
     ch = draw_channel(n, model, 1, Decimal(noise), rng)
@@ -33,23 +33,23 @@ def make_setup(n, model, seed, ctx=CTX, digits=6, noise="0"):
 
 class TestPreProcess:
     def test_unit_gain(self):
-        assert pre_process_half(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
+        assert pre_process(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
 
     def test_half_gain_doubles(self):
-        got = pre_process_half(PrimeInput(3, 1), Decimal("0.5"), CTX)
+        got = pre_process(PrimeInput(3, 1), Decimal("0.5"), CTX)
         with CTX.local():
             assert abs(got - 2 * ln(3, CTX)) < Decimal("1e-60")
 
     def test_gain_cancellation(self):
         # transmitting through the very gain used for inversion restores ln p
         h = Decimal("1.73205")
-        sig = pre_process_half(PrimeInput(7, 1), h, CTX)
+        sig = pre_process(PrimeInput(7, 1), h, CTX)
         with CTX.local():
             assert abs(h * sig - ln(7, CTX)) < Decimal("1e-60")
 
     def test_rejects_non_positive_gain(self):
         with pytest.raises(NonPositiveGain):
-            pre_process_half(PrimeInput(2, 1), Decimal(0), CTX)
+            pre_process(PrimeInput(2, 1), Decimal(0), CTX)
 
 
 class TestRunRound:
@@ -77,7 +77,8 @@ class TestRunRound:
             ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng)
             csi = estimate_csi(ch, "relative", 0.1, rng)
             try:
-                run_round(0, primes, ch, csi, CTX, tol=Decimal("1e-6"))
+                # 24 digits: tolerance 1e-6
+                run_round(0, primes, ch, csi, PrecisionContext(24))
             except RoundRecoveryFailure as e:
                 assert e.record.failure == "not-near-integer"
                 failures += 1
@@ -126,7 +127,7 @@ class TestProtocol:
 
     def test_eight_users_rayleigh(self):
         ctx = PrecisionContext(128)
-        primes, ch, csi, _ = make_setup(8, FadingModel.rayleigh(1), 4, ctx)
+        primes, ch, csi, _ = make_setup(8, FadingModel.rayleigh(1), 4)
         t = run_protocol_hmac(primes, ch, csi, ctx)
         want = math.prod(p.value for p in primes)
         assert t.per_user_secret == [want] * 8
@@ -146,6 +147,35 @@ class TestProtocol:
         )
         t2 = run_protocol_hmac(pp, ch2, estimate_csi(ch2), CTX)
         assert t.agreed_secret() == t2.agreed_secret()
+
+    def test_one_log_per_prime_per_run(self, monkeypatch):
+        # every round carries the worst receiver's digits, so the log memo
+        # takes each prime's log exactly once
+        import airkey.halfduplex as halfduplex
+
+        calls = []
+
+        def counting_ln(x, ctx):
+            calls.append(x)
+            return ln(x, ctx)
+
+        monkeypatch.setattr(halfduplex, "ln", counting_ln)
+        ctx = PrecisionContext(128)
+        # seed 4: the rounds' own products straddle a digit boundary, so
+        # sizing each round for itself would take two logs of most primes
+        primes, ch, csi, _ = make_setup(16, FadingModel.rayleigh(1), 4)
+        t = run_protocol_hmac(primes, ch, csi, ctx)
+        assert t.agreed_secret() == math.prod(p.value for p in primes)
+        assert sorted(calls) == sorted(p.value for p in primes)
+
+    def test_strict_context_agrees_when_product_fits(self):
+        # the worst product has about 18 digits: a strict 64-digit context
+        # resolves it without widening
+        strict = PrecisionContext(64, elastic=False)
+        primes, ch, csi, _ = make_setup(4, FadingModel.rayleigh(1), 6)
+        t = run_protocol_hmac(primes, ch, csi, strict)
+        assert t.agreed_secret() == math.prod(p.value for p in primes)
+        assert all(len(r.post_value.as_tuple().digits) <= 64 for r in t.rounds)
 
     def test_noise_degrades_without_crashing(self):
         failures = 0

@@ -175,6 +175,15 @@ class TestCli:
         )
         assert code == 2
 
+    def test_malformed_config_file_exits_2(self, tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_text('{"protocol": "hmac",')
+        code = self.run_cli(
+            "run", "--config", str(conf), "--seed", "1",
+            "--trials", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+
     def test_unwritable_out_exits_3(self, tmp_path):
         target = tmp_path / "file"
         target.write_text("x")  # a plain file where a directory must go

@@ -1,6 +1,6 @@
 import pytest
 
-from airkey import derive_key, group_agreement
+from airkey import ProtocolTranscript, derive_key
 
 
 class TestDeriveKey:
@@ -44,24 +44,23 @@ class TestDeriveKey:
         assert len(keys) == 1
 
 
+def agreed(secrets):
+    n = len(secrets)
+    return ProtocolTranscript("hmac", n, n, [], secrets).agreed_secret()
+
+
 class TestGroupAgreement:
     def test_unanimous(self):
-        r = group_agreement([6, 6, 6])
-        assert r.agreed and r.agreeing_fraction == 1.0
+        assert agreed([6, 6, 6]) == 6
 
     def test_one_failure(self):
-        r = group_agreement([6, 6, None])
-        assert not r.agreed
-        assert r.agreeing_fraction == pytest.approx(2 / 3)
+        assert agreed([6, 6, None]) is None
 
     def test_majority_value(self):
-        r = group_agreement([6, 10, 6])
-        assert not r.agreed
-        assert r.agreeing_fraction == pytest.approx(2 / 3)
+        assert agreed([6, 10, 6]) is None
 
     def test_all_failed(self):
-        r = group_agreement([None, None])
-        assert not r.agreed and r.agreeing_fraction == 0.0
+        assert agreed([None, None]) is None
 
     def test_empty(self):
-        assert not group_agreement([]).agreed
+        assert agreed([]) is None
