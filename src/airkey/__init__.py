@@ -34,21 +34,9 @@ from .errors import (
     NonPositiveInput,
     NotNearInteger,
     Overflow,
-    RoundRecoveryFailure,
 )
-from .fullduplex import (
-    FmacObservation,
-    recover_secret_full,
-    run_full_round,
-    run_protocol_fmac,
-)
-from .halfduplex import (
-    HmacRoundRecord,
-    derive_secret_half,
-    pre_process,
-    run_protocol_hmac,
-    run_round,
-)
+from .fullduplex import run_full_round, run_protocol_fmac
+from .halfduplex import pre_process, receive, run_protocol_hmac, run_round
 from .harness import ExperimentConfig, run_experiment, run_trial, sweep
 from .integers import (
     Factorization,
@@ -60,6 +48,6 @@ from .integers import (
     sample_prime,
 )
 from .keys import derive_key
-from .transcript import ProtocolTranscript
+from .transcript import ProtocolTranscript, Reception
 
 __version__ = "0.1.0"

@@ -7,6 +7,13 @@ the key.  Because her taps differ from the legitimate gains, each prime
 reaches her raised to a slightly wrong exponent; the resulting value
 differs from the legitimate product by a multiplicative error factor that
 vanishes only when every exponent ratio is exactly 1.
+
+Eve's decisions use the listener step of the legitimate receivers,
+:func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
+noise, and against the full-duplex exchange also its factor step
+:func:`airkey.fullduplex.factor`.  A reception rejected with
+``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
+means she did not recover the key.
 """
 
 from __future__ import annotations
@@ -17,19 +24,12 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .arith import (
-    BigReal,
-    PrecisionContext,
-    exp,
-    leading_digit_overlap,
-    ln,
-    round_to_integer,
-)
-from .channel import ChannelState, superpose
-from .errors import FactorBoundExceeded, NotNearInteger
-from .fullduplex import FmacObservation
-from .halfduplex import HmacRoundRecord, pre_process
-from .integers import PrimeInput, factorize, radical
+from .arith import BigReal, PrecisionContext, exp, leading_digit_overlap, ln
+from .channel import ChannelState
+from .fullduplex import factor
+from .halfduplex import pre_process, receive
+from .integers import PrimeInput
+from .transcript import Reception
 
 
 @dataclass
@@ -91,29 +91,25 @@ def _discrepancy(psi_legit, psi_eve, ctx):
 
 
 def eve_attack_half(
-    record: HmacRoundRecord,
+    record: Reception,
     primes: list[PrimeInput],
     ch: ChannelState,
     ctx: PrecisionContext,
     true_secret: int | None = None,
-    second_record: HmacRoundRecord | None = None,
+    second_record: Reception | None = None,
 ) -> EveReport:
     """Eve against a half-duplex round (noiseless sniffing, worst case).
 
     With a single round Eve can never assemble the full secret (the
     listener's prime never flew), so ``key_equal`` can only hold in the
     two-round interception mode: given the rounds of two different
-    listeners she rounds both reconstructions and, if both are integers,
-    recombines them via their least common multiple.
+    listeners she receives both and, if both are accepted, recombines them
+    via their least common multiple.
     """
-
-    def eve_post(rec: HmacRoundRecord) -> BigReal:
-        signals = [rec.signals.get(i) for i in range(ch.n_users)]
-        return exp(superpose(signals, ch.h_eve, 0), ctx)
-
-    psi_eve = eve_post(record)
+    first = receive(None, record.signals, ch.h_eve, ctx, ctx.tolerance)
+    psi_eve = first.post_value
     psi_legit = record.post_value
-    transmitters = sorted(record.signals)
+    transmitters = [i for i, s in enumerate(record.signals) if s is not None]
     with ctx.local():
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
         ratios = [
@@ -130,12 +126,12 @@ def eve_attack_half(
     mode = "half-single"
     if second_record is not None:
         mode = "half-two-round"
-        try:
-            a1 = round_to_integer(psi_eve, ctx.tolerance)
-            a2 = round_to_integer(eve_post(second_record), ctx.tolerance)
-            key_equal = true_secret is not None and math.lcm(a1, a2) == true_secret
-        except NotNearInteger:
-            key_equal = False
+        if first.recovered is not None and true_secret is not None:
+            second = receive(None, second_record.signals, ch.h_eve, ctx, ctx.tolerance)
+            key_equal = (
+                second.recovered is not None
+                and math.lcm(first.recovered, second.recovered) == true_secret
+            )
     return EveReport(
         mode=mode,
         psi_eve=psi_eve,
@@ -151,7 +147,7 @@ def eve_attack_half(
 
 def eve_attack_full(
     primes: list[PrimeInput],
-    observations: list[FmacObservation],
+    observations: list[Reception],
     ch: ChannelState,
     ctx: PrecisionContext,
     receiver: int = 0,
@@ -160,10 +156,10 @@ def eve_attack_full(
     """Eve against the full-duplex exchange.
 
     She hears all N terms (no self-interference cancellation on her side)
-    with exponents h_eve[i] / h_star.  Her decision procedure is the real
-    one: round to an integer, factorize, take the radical, and compare the
-    reassembled secret; only the measure-zero event of every tap landing on
-    an exact integer multiple of h_star lets it succeed.
+    with exponents h_eve[i] / h_star.  Her decision procedure is the
+    legitimate receiver's: round to an integer, factorize, take the radical,
+    and compare the reassembled secret; only the measure-zero event of every
+    tap landing on an exact integer multiple of h_star lets it succeed.
     """
     if ch.c is None:
         raise ValueError("full-duplex attack needs an integer-fading channel")
@@ -175,7 +171,8 @@ def eve_attack_full(
     )
     work = ctx.sized(magnitude + 1)
     signals = [pre_process(p, ch.h_star, work) for p in primes]
-    psi_eve = exp(superpose(signals, ch.h_eve, 0), work)
+    eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
+    psi_eve = eve.post_value
     psi_legit = observations[receiver].post_value
     with ctx.local():
         ratios = [+(ch.h_eve[i] / ch.h_star) for i in range(ch.n_users)]
@@ -196,12 +193,6 @@ def eve_attack_full(
 
     if true_secret is None:
         true_secret = math.prod(p.value for p in primes)
-    key_equal = False
-    try:
-        value = round_to_integer(psi_eve, ctx.tolerance)
-        key_equal = radical(factorize(value)) == true_secret
-    except (NotNearInteger, FactorBoundExceeded, ValueError):
-        key_equal = False
     return EveReport(
         mode="full",
         psi_eve=psi_eve,
@@ -211,7 +202,7 @@ def eve_attack_full(
         abs_discrepancy=gap,
         digit_overlap=leading_digit_overlap(psi_legit, psi_eve),
         per_factor_overlap=per_factor,
-        key_equal=key_equal,
+        key_equal=eve.recovered == true_secret,
         v=v,
     )
 

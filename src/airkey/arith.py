@@ -141,7 +141,7 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
     x = to_bigreal(x)
     if not x.is_finite():
         raise NonPositiveInput(f"exp requires a finite input, got {x}")
-    if x.adjusted() > 18 and x > 0:
+    if x.adjusted() > 18:
         raise Overflow(f"exp argument {x} is out of any representable range")
     magnitude = math.floor(float(x) / _LN10)  # decimal exponent of the result
     if abs(magnitude) > ctx.max_exponent:

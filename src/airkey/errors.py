@@ -43,15 +43,6 @@ class FactorBoundExceeded(AirkeyError):
     """A cofactor resisted the configured factorization effort budget."""
 
 
-class RoundRecoveryFailure(AirkeyError):
-    """A half-duplex receiver could not recover the round's integer."""
-
-    def __init__(self, record, cause):
-        self.record = record
-        self.cause = cause
-        super().__init__(f"receiver {record.receiver}: {cause}")
-
-
 class DuplicatePrimeDetected(AirkeyError):
     """Two users picked the same prime; the radical step would merge them."""
 

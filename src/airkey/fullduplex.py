@@ -6,50 +6,25 @@ h*, receiver j observes the sum of c_ij * ln(p_i) (own term removed by
 ideal self-interference cancellation).  Exponentiating yields the integer
 product of the other users' primes raised to the c_ij, which factorization
 unwinds; the radical times the receiver's own prime is the shared secret.
+
+Each receiver runs the listener step :func:`airkey.halfduplex.receive`,
+which rejects a value with ``not-near-integer`` or ``not-a-prime-product``,
+and then the factor step :func:`factor`, which rejects a product whose
+cofactor resists the effort budget with ``factor-bound-exceeded``.  The
+eavesdropper's full-duplex attack runs the same two steps.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .arith import BigReal, PrecisionContext, exp, nearest_integer
-from .channel import ChannelState, superpose
+from .arith import PrecisionContext
+from .channel import ChannelState
 from .errors import DuplicatePrimeDetected, FactorBoundExceeded
-from .halfduplex import pre_process
-from .integers import Factorization, PrimeInput, factorize, radical
-from .transcript import ProtocolTranscript
-
-
-@dataclass
-class FmacObservation:
-    """What one full-duplex receiver saw and recovered."""
-
-    receiver: int
-    observation: BigReal
-    post_value: BigReal
-    exponent_map: Factorization | None
-    recovered_radical: int | None
-    distance: BigReal
-    failure: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "observation": str(self.observation),
-            "post_value": str(self.post_value),
-            "exponent_map": (
-                self.exponent_map.to_text() if self.exponent_map is not None else None
-            ),
-            "recovered": (
-                str(self.recovered_radical)
-                if self.recovered_radical is not None
-                else None
-            ),
-            "distance_to_integer": str(self.distance),
-            "failure": self.failure,
-        }
+from .halfduplex import pre_process, receive
+from .integers import PrimeInput, factorize, radical
+from .transcript import ProtocolTranscript, Reception
 
 
 def _check_distinct(primes: list[PrimeInput]):
@@ -60,16 +35,31 @@ def _check_distinct(primes: list[PrimeInput]):
         )
 
 
+def factor(r: Reception) -> Reception:
+    """Factorize an accepted reception; ``recovered`` becomes the radical.
+
+    Fills ``exponent_map``.  A cofactor that resists the effort budget
+    leaves ``recovered`` None with the failure ``factor-bound-exceeded``.
+    """
+    if r.failure is None:
+        try:
+            r.exponent_map = factorize(r.recovered)
+            r.recovered = radical(r.exponent_map)
+        except FactorBoundExceeded:
+            r.recovered, r.failure = None, "factor-bound-exceeded"
+    return r
+
+
 def run_full_round(
     primes: list[PrimeInput],
     ch: ChannelState,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
-) -> list[FmacObservation]:
+) -> list[Reception]:
     """The single simultaneous exchange, evaluated at every receiver.
 
     Needs a channel drawn in integer-fading mode.  Per-receiver recovery
-    failures are recorded in the observation, not raised; an exponential
+    failures are recorded in the reception, not raised; an exponential
     overflow under a non-elastic precision context does raise, loudly.
     """
     if ch.c is None:
@@ -85,41 +75,13 @@ def run_full_round(
     )
     work = ctx.sized(magnitude + 1)
     signals = [pre_process(p, ch.h_star, work) for p in primes]
-    observations: list[FmacObservation] = []
-    for j in range(ch.n_users):
-        y = superpose(signals, [row[j] for row in ch.h], ch.noise_variance, rng)
-        post = exp(y, work)
-        nearest, distance = nearest_integer(post)
-        exponent_map = None
-        rad = None
-        failure = None
-        if distance > ctx.tolerance:
-            failure = "not-near-integer"
-        else:
-            try:
-                exponent_map = factorize(nearest)
-                rad = radical(exponent_map)
-            except FactorBoundExceeded:
-                failure = "factor-bound-exceeded"
-        observations.append(
-            FmacObservation(
-                receiver=j,
-                observation=y,
-                post_value=post,
-                exponent_map=exponent_map,
-                recovered_radical=rad,
-                distance=distance,
-                failure=failure,
-            )
-        )
-    return observations
-
-
-def recover_secret_full(p_own: PrimeInput, obs: FmacObservation) -> int:
-    """Receiver's shared secret: own prime times the recovered radical."""
-    if obs.recovered_radical is None:
-        raise ValueError(f"receiver {obs.receiver} has no recovered radical")
-    return p_own.value * obs.recovered_radical
+    return [
+        factor(receive(
+            j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
+            ch.noise_variance, rng,
+        ))
+        for j in range(ch.n_users)
+    ]
 
 
 def run_protocol_fmac(
@@ -128,18 +90,18 @@ def run_protocol_fmac(
     ctx: PrecisionContext,
     rng: random.Random | None = None,
 ) -> ProtocolTranscript:
-    """Full-duplex execution; rounds_used is 1 by construction."""
-    observations = run_full_round(primes, ch, ctx, rng=rng)
-    secrets: list[int | None] = []
-    for p, obs in zip(primes, observations):
-        if obs.recovered_radical is None:
-            secrets.append(None)
-        else:
-            secrets.append(recover_secret_full(p, obs))
+    """Full-duplex execution; rounds_used is 1 by construction.
+
+    A receiver's secret is its own prime times the recovered radical.
+    """
+    receptions = run_full_round(primes, ch, ctx, rng=rng)
     return ProtocolTranscript(
         protocol="fmac",
         n_users=ch.n_users,
         rounds_used=1,
-        rounds=observations,
-        per_user_secret=secrets,
+        rounds=receptions,
+        per_user_secret=[
+            None if r.recovered is None else p.value * r.recovered
+            for p, r in zip(primes, receptions)
+        ],
     )

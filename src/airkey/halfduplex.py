@@ -7,6 +7,14 @@ multiplying in its own prime yields the shared secret S = product of all
 users' primes.  Repeating with each user as the listener gives everyone S
 in exactly N rounds.
 
+Every listener, whether an hmac round's silent user, a full-duplex receiver
+or the eavesdropper, runs the one step :func:`receive`: superpose,
+exponentiate, round to the nearest integer and check it.  A rejected
+reception is recorded, never raised, with one of the reason codes
+``not-near-integer`` (farther than the tolerance from any integer) or
+``not-a-prime-product`` (an integer below 2); the full-duplex factor step
+adds ``factor-bound-exceeded``.
+
 Precision follows the one rule of :mod:`airkey.arith`.  Every round of a
 run is carried at ``ctx.sized(m)``, ``max(digits, m + T + 2 * GUARD)``
 digits, where ``m`` is the number of integer digits of the worst receiver's
@@ -21,36 +29,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .arith import BigReal, PrecisionContext, exp, ln, nearest_integer
 from .channel import ChannelState, CsiEstimate, superpose
-from .errors import NonPositiveGain, NotNearInteger, RoundRecoveryFailure
+from .errors import NonPositiveGain
 from .integers import PrimeInput
-from .transcript import ProtocolTranscript
-
-
-@dataclass
-class HmacRoundRecord:
-    """One listening round: who listened, what flew, what was recovered."""
-
-    receiver: int
-    signals: dict[int, BigReal]
-    observation: BigReal
-    post_value: BigReal
-    recovered: int | None
-    distance: BigReal
-    failure: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "observation": str(self.observation),
-            "post_value": str(self.post_value),
-            "recovered": str(self.recovered) if self.recovered is not None else None,
-            "distance_to_integer": str(self.distance),
-            "failure": self.failure,
-        }
+from .transcript import ProtocolTranscript, Reception
 
 
 def pre_process(
@@ -75,6 +59,42 @@ def pre_process(
         return logs[key] / gain
 
 
+def receive(
+    j: int | None,
+    signals: list[BigReal | None],
+    taps,
+    work: PrecisionContext,
+    tol: BigReal,
+    noise_variance=0,
+    rng: random.Random | None = None,
+) -> Reception:
+    """One listener's reception: superpose, exponentiate, round, check.
+
+    ``j`` names the receiver (None for the eavesdropper), ``taps`` are its
+    gains from each user and ``work`` the sized context the signals were
+    made at.  The nearest integer is accepted when it lies within ``tol``
+    and is at least 2, the least product of primes; otherwise the record
+    carries ``recovered`` None and the reason code.
+    """
+    observation = superpose(signals, taps, noise_variance, rng)
+    post_value = exp(observation, work)
+    nearest, distance = nearest_integer(post_value)
+    failure = None
+    if distance > tol:
+        failure = "not-near-integer"
+    elif nearest < 2:
+        failure = "not-a-prime-product"
+    return Reception(
+        receiver=j,
+        signals=signals,
+        observation=observation,
+        post_value=post_value,
+        recovered=nearest if failure is None else None,
+        distance=distance,
+        failure=failure,
+    )
+
+
 def run_round(
     j: int,
     primes: list[PrimeInput],
@@ -83,47 +103,23 @@ def run_round(
     ctx: PrecisionContext,
     rng: random.Random | None = None,
     logs: dict[tuple[int, int], BigReal] | None = None,
-) -> HmacRoundRecord:
+) -> Reception:
     """Execute the round in which user ``j`` listens.
 
-    ``logs`` is passed on to :func:`pre_process`.  Raises
-    :class:`RoundRecoveryFailure` (carrying the partial record) when the
-    post-processed value is not within ``ctx.tolerance`` of an integer.
+    ``logs`` is passed on to :func:`pre_process`.  A failed recovery is
+    recorded in the returned reception, not raised.
     """
     # the worst receiver hears every prime but the smallest
     log10s = sorted(math.log10(p.value) for p in primes)
     work = ctx.sized(int(sum(log10s[1:])) + 1)
-    signals: list[BigReal | None] = [
+    signals = [
         None if i == j else pre_process(primes[i], csi.h_hat[i][j], work, logs)
         for i in range(ch.n_users)
     ]
-    observation = superpose(
-        signals, [row[j] for row in ch.h], ch.noise_variance, rng
+    return receive(
+        j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
+        ch.noise_variance, rng,
     )
-    post_value = exp(observation, work)
-    nearest, distance = nearest_integer(post_value)
-    near = distance <= ctx.tolerance
-    record = HmacRoundRecord(
-        receiver=j,
-        signals={i: s for i, s in enumerate(signals) if s is not None},
-        observation=observation,
-        post_value=post_value,
-        recovered=nearest if near else None,
-        distance=distance,
-        failure=None if near else "not-near-integer",
-    )
-    if not near:
-        raise RoundRecoveryFailure(
-            record, NotNearInteger(post_value, nearest, distance, ctx.tolerance)
-        )
-    return record
-
-
-def derive_secret_half(p_own: PrimeInput, record: HmacRoundRecord) -> int:
-    """The listener folds its own prime into the recovered product."""
-    if record.recovered is None:
-        raise RoundRecoveryFailure(record, "round did not recover an integer")
-    return p_own.value * record.recovered
 
 
 def run_protocol_hmac(
@@ -136,26 +132,21 @@ def run_protocol_hmac(
     """Full half-duplex execution: every user listens exactly once.
 
     A failed round marks only that listener's secret as missing; the other
-    rounds still run over the same (static) channel realization.
+    rounds still run over the same (static) channel realization.  The
+    listener folds its own prime into the recovered product.
     """
     n = ch.n_users
     if len(primes) != n:
         raise ValueError("need one prime per user")
-    rounds: list[HmacRoundRecord] = []
-    secrets: list[int | None] = []
     logs: dict[tuple[int, int], BigReal] = {}
-    for j in range(n):
-        try:
-            record = run_round(j, primes, ch, csi, ctx, rng=rng, logs=logs)
-            secrets.append(derive_secret_half(primes[j], record))
-        except RoundRecoveryFailure as e:
-            record = e.record
-            secrets.append(None)
-        rounds.append(record)
+    rounds = [run_round(j, primes, ch, csi, ctx, rng=rng, logs=logs) for j in range(n)]
     return ProtocolTranscript(
         protocol="hmac",
         n_users=n,
         rounds_used=n,
         rounds=rounds,
-        per_user_secret=secrets,
+        per_user_secret=[
+            None if r.recovered is None else p.value * r.recovered
+            for p, r in zip(primes, rounds)
+        ],
     )

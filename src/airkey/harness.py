@@ -49,6 +49,10 @@ SWEEPABLE_FIELDS = (
     "trials",
 )
 
+# Primes with 1 and 2 digits; from 3 digits on there are at least 143, more
+# than the n_users cap, so every user can draw a distinct prime.
+_PRIME_COUNT = {1: 4, 2: 21}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,6 +83,11 @@ class ExperimentConfig:
             problems["fading"] = "fmac requires integer fading"
         if not 2 <= self.n_users <= 64:
             problems["n_users"] = "must be in [2, 64]"
+        elif self.n_users > _PRIME_COUNT.get(self.prime_digits, 64):
+            problems["n_users"] = (
+                f"only {_PRIME_COUNT[self.prime_digits]} primes have "
+                f"{self.prime_digits} digits"
+            )
         if not 1 <= self.prime_digits <= 32:
             problems["prime_digits"] = "must be in [1, 32]"
         if self.precision_digits < 16:

@@ -80,6 +80,12 @@ class TestExp:
         with pytest.raises(Overflow):
             exp(Decimal(3000), ctx)
 
+    @pytest.mark.parametrize("x", ["-1e10", "-1e400", "1e400"])
+    def test_overflow_on_arguments_beyond_float_range(self, x):
+        # -1e400 is -inf as a float, which must not leak a bare OverflowError
+        with pytest.raises(Overflow):
+            exp(Decimal(x), PrecisionContext(32))
+
     def test_strict_context_overflows_instead_of_widening(self):
         strict = PrecisionContext(32, elastic=False)
         with pytest.raises(Overflow):

@@ -14,7 +14,6 @@ from airkey import (
     draw_channel,
     ln,
     pre_process,
-    recover_secret_full,
     run_full_round,
     run_protocol_fmac,
     sample_distinct_primes,
@@ -69,7 +68,7 @@ class TestRunFullRound:
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
         obs = run_full_round(primes, forced_c_channel(3, 1), CTX)
         assert obs[0].exponent_map.factors == ((3, 1), (5, 1))
-        assert obs[0].recovered_radical == 15
+        assert obs[0].recovered == 15
 
     def test_exponent_map_matches_channel_column(self):
         rng = random.Random(9)
@@ -110,44 +109,28 @@ class TestRunFullRound:
 
 class TestRecoverSecret:
     def test_trivial(self):
-        from airkey import Factorization, FmacObservation
-
-        obs = FmacObservation(
-            0, Decimal(0), Decimal(9), Factorization(((3, 2),)), 3, Decimal(0)
-        )
-        assert recover_secret_full(PrimeInput(5, 1), obs) == 15
+        # c = 1: the radical is the recovered product itself
+        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        t = run_protocol_fmac(primes, forced_c_channel(2, 1), CTX)
+        assert t.rounds[1].exponent_map.factors == ((3, 1),)
+        assert t.per_user_secret[1] == 15
 
     def test_radical_ignores_exponents(self):
-        from airkey import Factorization, FmacObservation
-
-        obs = FmacObservation(
-            0,
-            Decimal(0),
-            Decimal(3 * 5**4),
-            Factorization(((3, 1), (5, 4))),
-            15,
-            Decimal(0),
-        )
-        assert recover_secret_full(PrimeInput(2, 1), obs) == 30
+        # c = 2: receivers hear 5^2 and 3^2, and keep only the primes
+        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        t = run_protocol_fmac(primes, forced_c_channel(2, 2), CTX)
+        assert [r.exponent_map.factors for r in t.rounds] == [((5, 2),), ((3, 2),)]
+        assert [r.recovered for r in t.rounds] == [5, 3]
+        assert t.per_user_secret == [15, 15]
 
     def test_six_users_heavy_exponents(self):
         rng = random.Random(12)
         primes, _ = sample_distinct_primes(6, 5, rng)
         ctx = PrecisionContext(256)
         ch = integer_channel(6, 8, 12)
-        obs = run_full_round(primes, ch, ctx)
+        t = run_protocol_fmac(primes, ch, ctx)
         want = math.prod(p.value for p in primes)
-        for j in range(6):
-            assert recover_secret_full(primes[j], obs[j]) == want
-
-    def test_failed_observation_raises(self):
-        from airkey import FmacObservation
-
-        obs = FmacObservation(
-            0, Decimal(0), Decimal("1.5"), None, None, Decimal("0.5"), "not-near-integer"
-        )
-        with pytest.raises(ValueError):
-            recover_secret_full(PrimeInput(2, 1), obs)
+        assert t.per_user_secret == [want] * 6
 
 
 class TestProtocol:

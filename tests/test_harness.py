@@ -1,10 +1,11 @@
 import json
+from decimal import Decimal
 
 import pytest
 
 from airkey import ConfigError, ExperimentConfig, run_experiment, sweep
 from airkey.cli import main
-from airkey.harness import child_seed
+from airkey.harness import child_seed, run_trial
 
 
 def cfg(**over):
@@ -54,6 +55,14 @@ class TestConfig:
     def test_invalid_values(self, field, value):
         with pytest.raises(ConfigError):
             cfg(**{field: value})
+
+    @pytest.mark.parametrize("digits,most", [(1, 4), (2, 21)])
+    def test_more_users_than_primes_of_that_length(self, digits, most):
+        # drawing distinct primes could never finish
+        cfg(n_users=most, prime_digits=digits)
+        with pytest.raises(ConfigError) as e:
+            cfg(n_users=most + 1, prime_digits=digits)
+        assert "n_users" in e.value.problems
 
 
 class TestChildSeed:
@@ -119,6 +128,26 @@ class TestRunExperiment:
         assert summary["eve_success_rate"] == 0.0
 
 
+class TestStrongNoise:
+    @pytest.mark.parametrize("protocol", [dict(protocol="hmac"), FMAC])
+    def test_no_secret_below_two(self, protocol):
+        # noise this strong often drives the exponentiated value to about 0
+        c = cfg(**protocol, n_users=3, prime_digits=5, noise_variance="10000",
+                trials=40, seed=3)
+        tol = Decimal("1e-16")  # tolerance of the 64-digit context
+        small = 0
+        for trial in range(c.trials):
+            _, t, _ = run_trial(c, trial)
+            for r, secret in zip(t.rounds, t.per_user_secret):
+                assert secret is None or secret >= 2
+                if r.failure is not None:
+                    assert secret is None and r.recovered is None
+                if r.distance <= tol and r.post_value < Decimal("1.5"):
+                    assert r.failure == "not-a-prime-product"
+                    small += 1
+        assert small > 0
+
+
 class TestSweep:
     def test_n_users_axis(self, tmp_path):
         table = sweep(
@@ -178,6 +207,15 @@ class TestCli:
     def test_malformed_config_file_exits_2(self, tmp_path):
         conf = tmp_path / "c.json"
         conf.write_text('{"protocol": "hmac",')
+        code = self.run_cli(
+            "run", "--config", str(conf), "--seed", "1",
+            "--trials", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_bytes(b"\xff\xfe{}")
         code = self.run_cli(
             "run", "--config", str(conf), "--seed", "1",
             "--trials", "1", "--out", str(tmp_path / "o"),
