@@ -19,18 +19,35 @@ the product needs.  ``exp`` applies it only when its result's integer part
 does not fit with ``GUARD`` digits to spare (decimal exponent + GUARD >
 digits), so ``exp`` on a sized context adds no digits.  A strict context
 (``elastic=False``) is never widened: ``exp`` raises :class:`Overflow` in
-that case instead.  ``ln``/``exp`` are evaluated directly at the carried
-precision: libmpdec returns them correctly rounded (half-even), which is well
-inside a 2-ulp error bound.  Ambient ``+``/``*``/``/`` run at
-``digits + GUARD`` (:meth:`PrecisionContext.local`) so sums of logs keep
-their digits.
+that case instead.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
+(:meth:`PrecisionContext.local`) so sums of logs keep their digits.
+
+``ln`` and ``exp`` take and return Decimals but compute in binary fixed
+point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
+ch. 4): the argument becomes an int scaled by 2**w, with w the bits of the
+carried digits plus guard bits; it is reduced by multiples of ln 10 and
+ln 2 and summed as a series; the result is rounded half-even to the carried
+digits once, by a multiply by a power of ten and a shift.  Every kernel step
+carries a bound on its error, and a result within that bound of a rounding
+boundary is computed again with twice the guard bits (Ziv's test).  Results
+are therefore correctly rounded, within 0.5 ulp and inside the 2-ulp
+contract, and equal libmpdec's ``Decimal.ln``/``Decimal.exp`` digit for
+digit and exponent for exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    localcontext,
+)
 
 from .errors import NonPositiveInput, NotNearInteger, Overflow
 
@@ -95,9 +112,6 @@ class PrecisionContext:
             return self
         return replace(self, digits=self.digits_for(m))
 
-    def _context(self, prec: int) -> Context:
-        return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=_EMAX, Emin=-_EMAX)
-
     def local(self):
         """Run ambient Decimal arithmetic at ``digits + GUARD`` digits.
 
@@ -105,7 +119,11 @@ class PrecisionContext:
         (28 digits by default), so callers composing BigReals must wrap the
         arithmetic:  ``with ctx.local(): y = ln(a, ctx) + ln(b, ctx)``.
         """
-        return localcontext(self._context(self.digits + GUARD))
+        return localcontext(_context(self.digits + GUARD))
+
+
+def _context(prec: int) -> Context:
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=_EMAX, Emin=-_EMAX)
 
 
 def to_bigreal(value) -> BigReal:
@@ -120,30 +138,42 @@ def to_bigreal(value) -> BigReal:
 def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     """Natural logarithm of ``x`` (> 0), correctly rounded to ctx.digits.
 
-    libmpdec rounds ``ln`` correctly, so the result is within 0.5 ulp, inside
-    the 2-ulp contract.
+    The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
+    result is inside the 2-ulp contract; ``ln(1)`` is exactly ``0``.
     """
     x = to_bigreal(x)
     if not x.is_finite() or x <= 0:
         raise NonPositiveInput(f"ln requires a positive finite input, got {x}")
-    return x.ln(ctx._context(ctx.digits))
+    if x == 1:
+        return Decimal(0)
+    e = x.as_tuple().exponent
+    c = int(x.scaleb(-e, _EXACT))
+    # Split off the decimal exponent away from 1, where ln x = ln(x/10^j) +
+    # j ln 10 cannot cancel; near 1 keep x whole so no power of 10 is huge.
+    adjusted = x.adjusted()
+    j = adjusted if abs(adjusted) > 1 else 0
+    f = e - j
+    num, den = (c * 10**f, 1) if f >= 0 else (c, 10**-f)
+    return _correctly_rounded(lambda w: _ln_kernel(num, den, j, w), ctx.digits)
 
 
 def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
     """e**x, correctly rounded to the carried precision.
 
-    libmpdec rounds ``exp`` correctly, so the result is within 0.5 ulp,
-    inside the 2-ulp contract.  The carried precision is ``ctx.digits``
-    unless the result's decimal exponent plus GUARD exceeds it; an elastic
-    context then carries ``ctx.digits_for(m)`` for a result of ``m`` integer
-    digits, a strict context raises :class:`Overflow`.
+    The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
+    result is inside the 2-ulp contract; ``exp(0)`` is exactly ``1``.  The
+    carried precision is ``ctx.digits`` unless the result's decimal exponent
+    plus GUARD exceeds it; an elastic context then carries
+    ``ctx.digits_for(m)`` for a result of ``m`` integer digits, a strict
+    context raises :class:`Overflow`.
     """
     x = to_bigreal(x)
     if not x.is_finite():
         raise NonPositiveInput(f"exp requires a finite input, got {x}")
     if x.adjusted() > 18:
         raise Overflow(f"exp argument {x} is out of any representable range")
-    magnitude = math.floor(float(x) / _LN10)  # decimal exponent of the result
+    approx = float(x)
+    magnitude = math.floor(approx / _LN10)  # decimal exponent of the result
     if abs(magnitude) > ctx.max_exponent:
         raise Overflow(
             f"exp result exponent {magnitude} exceeds bound {ctx.max_exponent}"
@@ -156,7 +186,206 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
                 f"context carries only {ctx.digits} (guard {GUARD})"
             )
         carried = ctx.digits_for(magnitude + 1)
-    return x.exp(ctx._context(carried))
+    if x.is_zero():
+        return Decimal(1)
+    # bits that x / ln 2 and the reduction's error take up: 2**nb >= 4 (|x| + 16)
+    nb = (int(abs(approx)) + 16).bit_length() + 2
+    return _correctly_rounded(lambda w: _exp_kernel(x, nb, w), carried)
+
+
+# --- binary fixed-point kernel -------------------------------------------
+#
+# A fixed-point value is an int v standing for v / 2**w.  Each kernel
+# function returns its result with a bound on its error in units of 2**-w,
+# and _correctly_rounded evaluates at the bits of the requested digits plus
+# guard bits until the bound decides the half-even rounding (Ziv's test).
+# ln x and e**x are transcendental for every rational x other than 1 and 0,
+# so no result lies exactly on a rounding boundary and the loop ends.
+
+_LOG2_10 = math.log2(10)
+_LOG10_2 = math.log10(2)
+_ZIV_GUARD = 32  # guard bits of the first try
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# Machin-type formulas: ln 2 and ln 10 as sums of c * acoth(q).
+_MACHIN = {
+    "ln2": ((18, 26), (-2, 4801), (8, 8749)),
+    "ln10": ((46, 31), (34, 49), (20, 161)),
+}
+# name -> (constant * 2**bits, bits), at the widest precision computed so far
+_CONSTANTS: dict[str, tuple[int, int]] = {}
+
+
+def _acoth(q: int, w: int) -> int:
+    """acoth(q) * 2**w for an integer q > 1, low by less than its terms + 2."""
+    q2 = q * q
+    term = (1 << w) // q
+    total, k = term, 3
+    while term:
+        term //= q2
+        total += term // k
+        k += 2
+    return total
+
+
+def _constant(name: str, w: int) -> int:
+    """ln 2 or ln 10 times 2**w, within 3 units.
+
+    Computed on first use and kept at the widest precision asked for so
+    far; narrower requests shift it down.
+    """
+    value, bits = _CONSTANTS.get(name, (0, 0))
+    if bits < w:
+        bits = max(w, 2 * bits)
+        extra = bits.bit_length() + 10  # the acoth sums' error stays below 1.2
+        value = sum(c * _acoth(q, bits + extra) for c, q in _MACHIN[name]) >> extra
+        _CONSTANTS[name] = value, bits
+    return value >> (bits - w)
+
+
+def _exp_fixed(t: int, w: int) -> tuple[int, int]:
+    """e**(t / 2**w) * 2**w for |t| <= 2**w, and its error bound in units.
+
+    The argument is read at s more fractional bits, which halves it s times
+    exactly; its Taylor series is summed at v = w + s + 16 bits in even and
+    odd halves, and the sum is squared s times.  The series is off by less
+    than 4k units of 2**-v after k terms, each squaring at most doubles the
+    relative error, and 16 spare bits absorb both.
+    """
+    s = math.isqrt(w) // 2
+    v = w + s + 16
+    x = t << 16
+    one = 1 << v
+    x2 = (x * x) >> v
+    even = odd = one
+    a, k = x2, 2
+    while a:
+        a //= k
+        even += a
+        a //= k + 1
+        odd += a
+        a = (a * x2) >> v
+        k += 2
+    y = even + ((odd * x) >> v)
+    for _ in range(s):
+        y = (y * y) >> v
+    return y >> (v - w), 2 + (k >> 10)
+
+
+def _exp_kernel(x: Decimal, nb: int, w: int):
+    """e**x as (man, err, shift, dexp), for |x| below 2**(nb-2) - 16.
+
+    x = a ln 10 + n ln 2 + r with |r| <= ln(2) / 2, so e**x is
+    man * 2**-shift * 10**a with the decimal exponent a worked out exactly
+    and the mantissa in [1, 10).  The reduction runs at nb more bits, which
+    keep its error below 1 unit of 2**-w.
+    """
+    w2 = w + nb
+    digits = int(w2 * _LOG10_2) + 2
+    # x * 10**digits truncated, so X is within 1.01 units of x * 2**w2
+    X = (int(x.scaleb(digits, _EXACT)) << w2) // 10**digits
+    L10 = _constant("ln10", w2)
+    L2 = _constant("ln2", w2)
+    a = X // L10
+    r = X - a * L10
+    n = (2 * r + L2) // (2 * L2)
+    y, err = _exp_fixed((r - n * L2) >> nb, w)
+    # the reduced argument is within 2 units, which moves e**r by 3 units
+    return y, err + 3, w - n, a
+
+
+def _ln_kernel(num: int, den: int, j: int, w: int):
+    """ln(num / den * 10**j) as (man, err, shift, 0), num/den in [0.1, 100).
+
+    num/den = m * 2**k with m in [0.75, 1.5).  From a float y0 ~ ln m,
+    ln m = y0 + 2 atanh((m - e**y0) / (m + e**y0)), whose argument is below
+    2**-50, so the atanh series gains about 100 bits a term.  Near 1 the
+    kernel adds the bits that ln x = ln m loses to cancellation.
+    """
+    k = num.bit_length() - den.bit_length()
+    if (num << max(-k, 0)) < (den << max(k, 0)):
+        k -= 1
+    if (2 * num << max(-k, 0)) >= (3 * den << max(k, 0)):
+        k += 1
+    if j == 0 and k == 0:
+        w += max(0, den.bit_length() - abs(num - den).bit_length() + 2)
+    one = 1 << w
+    m = (num << (w - k)) // den
+    y0 = int(math.ldexp(math.log1p((m - one) / one), 60)) << (w - 60)
+    ey0, err = _exp_fixed(y0, w)
+    z = ((m - ey0) << w) // (m + ey0)
+    term = series = abs(z)
+    z2 = (term * term) >> w
+    i = 3
+    while term:
+        term = (term * z2) >> w
+        series += term // i
+        i += 2
+    man = y0 + 2 * (series if z >= 0 else -series)
+    if k or j:
+        kb = (abs(k) + abs(j)).bit_length() + 2
+        wide = w + kb
+        logs = k * _constant("ln2", wide)
+        if j:
+            logs += j * _constant("ln10", wide)
+        man += logs >> kb
+    # z is within err + 2 units, each series term within 2
+    return man, 3 * err + 2 * i + 12, w, 0
+
+
+def _correctly_rounded(kernel, digits: int) -> Decimal:
+    """The kernel's value rounded half-even to ``digits`` digits (Ziv's loop)."""
+    bits = int(digits * _LOG2_10) + 1
+    guard = _ZIV_GUARD
+    while True:
+        result = _round_half_even(*kernel(bits + guard), digits)
+        if result is not None:
+            return result
+        guard *= 2
+
+
+def _round_half_even(man: int, err: int, shift: int, dexp: int, digits: int):
+    """man * 2**-shift * 10**dexp rounded half-even to ``digits`` digits.
+
+    Returns None when the value, known to within ``err`` units of
+    2**-shift, may lie on either side of a power of ten or of the half
+    between two results.
+    """
+    negative = man < 0
+    man = abs(man)
+    if man <= err:
+        return None
+    low, high = 10 ** (digits - 1), 10**digits
+    a = math.floor(math.log10(man) - shift * _LOG10_2)  # corrected below
+    while True:
+        # v * 10**s is q + rem / den, within bound / den, for v = man * 2**-shift
+        s = digits - 1 - a
+        if s >= 0:
+            scale = 10**s
+            num, bound, den = man * scale, err * scale, 1 << shift
+            q, rem = num >> shift, num & (den - 1)
+        else:
+            num, bound, den = man, err, 10**-s << shift
+            q, rem = divmod(num, den)
+        if 2 * bound >= den:
+            return None
+        if (q == low and rem <= bound) or (q == low - 1 and den - rem <= bound):
+            return None  # v may lie on either side of 10**a
+        if (q == high and rem <= bound) or (q == high - 1 and den - rem <= bound):
+            return None  # or of 10**(a + 1)
+        if q < low:
+            a -= 1
+        elif q >= high:
+            a += 1
+        else:
+            break
+    if abs(2 * rem - den) <= 2 * bound:
+        return None
+    if 2 * rem > den:
+        q += 1
+        if q == high:  # rounded up to the next power of ten
+            q, s = low, s - 1
+    return Decimal(-q if negative else q).scaleb(dexp - s, _context(digits))
 
 
 def nearest_integer(x: BigReal):

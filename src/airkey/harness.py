@@ -23,7 +23,7 @@ from .channel import FadingModel, draw_channel, estimate_csi, rayleigh_taps
 from .errors import ConfigError
 from .fullduplex import run_protocol_fmac
 from .halfduplex import run_protocol_hmac
-from .integers import sample_distinct_primes
+from .integers import check_prime_supply, sample_distinct_primes
 
 SCHEMA_VERSION = 1
 
@@ -48,11 +48,6 @@ SWEEPABLE_FIELDS = (
     "rayleigh_scale",
     "trials",
 )
-
-# Primes with 1 and 2 digits; from 3 digits on there are at least 143, more
-# than the n_users cap, so every user can draw a distinct prime.
-_PRIME_COUNT = {1: 4, 2: 21}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,11 +78,11 @@ class ExperimentConfig:
             problems["fading"] = "fmac requires integer fading"
         if not 2 <= self.n_users <= 64:
             problems["n_users"] = "must be in [2, 64]"
-        elif self.n_users > _PRIME_COUNT.get(self.prime_digits, 64):
-            problems["n_users"] = (
-                f"only {_PRIME_COUNT[self.prime_digits]} primes have "
-                f"{self.prime_digits} digits"
-            )
+        else:
+            try:
+                check_prime_supply(self.n_users, self.prime_digits)
+            except ValueError as exc:
+                problems["n_users"] = str(exc)
         if not 1 <= self.prime_digits <= 32:
             problems["prime_digits"] = "must be in [1, 32]"
         if self.precision_digits < 16:

@@ -115,10 +115,29 @@ def sample_prime(digit_count: int, rng: random.Random) -> PrimeInput:
             return PrimeInput._tested(candidate, digit_count)
 
 
+# Primes with exactly d decimal digits, d = 1..8; from 9 digits on there
+# are more than 45 million.
+_PRIME_COUNT = {
+    1: 4, 2: 21, 3: 143, 4: 1061, 5: 8363, 6: 68906, 7: 586081, 8: 5096876
+}
+
+
+def check_prime_supply(n: int, digit_count: int) -> None:
+    """Raise ValueError when fewer than ``n`` primes have ``digit_count`` digits."""
+    available = _PRIME_COUNT.get(digit_count)
+    if available is not None and n > available:
+        raise ValueError(f"only {available} primes have {digit_count} digits")
+
+
 def sample_distinct_primes(
     n: int, digit_count: int, rng: random.Random
 ) -> tuple[list[PrimeInput], int]:
-    """``n`` distinct primes; returns (primes, collision count)."""
+    """``n`` distinct primes; returns (primes, collision count).
+
+    Raises ValueError at once when fewer than ``n`` such primes exist,
+    where drawing could never finish.
+    """
+    check_prime_supply(n, digit_count)
     seen: set[int] = set()
     out: list[PrimeInput] = []
     collisions = 0

@@ -1,8 +1,10 @@
+import math
 import random
 from decimal import Context, Decimal
 
 import pytest
 
+from airkey import arith
 from airkey import (
     NonPositiveInput,
     NotNearInteger,
@@ -15,12 +17,18 @@ from airkey import (
     to_bigreal,
 )
 from airkey.arith import nearest_integer
+from airkey.integers import sample_prime
 
 CTX = PrecisionContext(50)
 
 
 def ulp(x: Decimal, digits: int) -> Decimal:
     return Decimal(1).scaleb(x.adjusted() - digits + 1)
+
+
+def libmpdec(digits: int) -> Context:
+    """A libmpdec context of ``digits`` digits, the independent reference."""
+    return Context(prec=digits, Emax=10**9, Emin=-(10**9))
 
 
 class TestLn:
@@ -41,14 +49,26 @@ class TestLn:
             ln(bad, CTX)
 
     def test_two_ulp_contract_against_quad_precision(self):
-        # oracle: the same operation at 4x digits
-        oracle_ctx = PrecisionContext(4 * CTX.digits)
+        # oracle: libmpdec's ln at 4x digits
+        oracle = libmpdec(4 * CTX.digits)
         rng = random.Random(1)
         for _ in range(200):
             x = Decimal(rng.randrange(1, 10**12)) / Decimal(10**6)
             got = ln(x, CTX)
-            want = ln(x, oracle_ctx)
+            want = x.ln(oracle)
             assert abs(got - want) <= 2 * ulp(want, CTX.digits)
+
+    def test_two_ulp_contract_at_384_digits(self):
+        ctx = PrecisionContext(384)
+        oracle = libmpdec(4 * ctx.digits)
+        rng = random.Random(5)
+        for _ in range(10):
+            x = Decimal(rng.randrange(2, 10**rng.randrange(1, 40))).scaleb(
+                -rng.randrange(0, 30)
+            )
+            got = ln(x, ctx)
+            want = x.ln(oracle)
+            assert abs(got - want) <= 2 * ulp(want, ctx.digits)
 
 
 class TestExp:
@@ -67,13 +87,31 @@ class TestExp:
         assert round_to_integer(v, CTX.tolerance) == 9
 
     def test_two_ulp_contract_against_quad_precision(self):
-        oracle_ctx = PrecisionContext(4 * CTX.digits)
+        # oracle: libmpdec's exp at 4x digits
+        oracle = libmpdec(4 * CTX.digits)
         rng = random.Random(2)
         for _ in range(200):
             x = Decimal(rng.randrange(-80_000_000, 80_000_000)) / Decimal(10**6)
             got = exp(x, CTX)
-            want = exp(x, oracle_ctx)
+            want = x.exp(oracle)
             assert abs(got - want) <= 2 * ulp(want, CTX.digits)
+
+    def test_two_ulp_contract_on_products_of_hundreds_of_digits(self):
+        # the full-duplex case: e to a sum of c * ln p, a product of about
+        # 440 digits, on the context sized for it
+        rng = random.Random(6)
+        for _ in range(5):
+            primes = [sample_prime(5, rng).value for _ in range(12)]
+            powers = [8] * 12
+            product = math.prod(p**c for p, c in zip(primes, powers))
+            ctx = PrecisionContext(384).sized(len(str(product)))
+            with ctx.local():
+                x = sum(c * ln(p, ctx) for p, c in zip(primes, powers))
+            got = exp(x, ctx)
+            want = x.exp(libmpdec(4 * ctx.digits))
+            assert got.adjusted() >= 400
+            assert abs(got - want) <= 2 * ulp(want, ctx.digits)
+            assert nearest_integer(got)[0] == product
 
     def test_overflow_on_exponent_bound(self):
         ctx = PrecisionContext(50, max_exponent=1000)
@@ -102,6 +140,79 @@ class TestExp:
         elastic = PrecisionContext(32)
         v = exp(Decimal(200), elastic)
         assert v.adjusted() == 86
+
+
+def _differential_cases(rng: random.Random, digits: int):
+    """(function name, argument) pairs over the shapes the kernel reduces."""
+    cases = [
+        ("ln", Decimal(rng.randrange(2, 10**6))),  # integers
+        ("ln", Decimal(rng.randrange(10**12, 10**40))),
+        ("ln", Decimal(rng.randrange(1, 10**20)).scaleb(-rng.randrange(1, 40))),
+        ("ln", Decimal(rng.randrange(1, 10**9)).scaleb(rng.randrange(-900, 900))),
+        ("ln", Decimal(rng.randrange(11, 27)) / 10),  # results below 1
+        ("ln", 1 + Decimal(rng.randrange(1, 10**6)).scaleb(-rng.randrange(6, 60))),
+        ("ln", 1 - Decimal(rng.randrange(1, 10**6)).scaleb(-rng.randrange(6, 60))),
+        ("exp", -Decimal(rng.randrange(1, 10**30)).scaleb(-26)),  # negative
+        ("exp", Decimal(rng.randrange(1, 10**30)).scaleb(-rng.randrange(40, 80))),
+    ]
+    # arguments whose results have as many integer digits as the context
+    # carries without widening: decimal exponent + GUARD <= digits
+    room = max(digits - arith.GUARD - 1, 0) * 2.3
+    for bound in (1, room):
+        cases.append(("exp", Decimal(repr(rng.uniform(-10, bound)))))
+    return cases
+
+
+class TestAgreesWithLibmpdec:
+    """The kernel is correctly rounded, so it equals libmpdec digit for digit."""
+
+    @pytest.mark.parametrize("digits", [16, 17, 20, 32, 50, 64, 100, 128, 150,
+                                        192, 256, 300, 378, 384, 448, 512, 600])
+    def test_same_digits_and_exponent(self, digits):
+        rng = random.Random(digits)
+        ctx = PrecisionContext(digits)
+        for _ in range(3):
+            for name, x in _differential_cases(rng, digits):
+                got = getattr(arith, name)(x, ctx)
+                want = getattr(x, name)(libmpdec(digits))
+                assert got.as_tuple() == want.as_tuple(), (name, x)
+
+    @pytest.mark.parametrize("x", ["1E-50", "-1E-50", "7E-300", "1E-601"])
+    def test_ln_next_to_one(self, x):
+        # ln(1 + d) ~ d: the kernel adds the bits lost to cancellation
+        ctx = PrecisionContext(600)
+        y = 1 + Decimal(x)
+        assert ln(y, ctx).as_tuple() == y.ln(libmpdec(600)).as_tuple()
+
+    @pytest.mark.parametrize("x", ["1E+5000000000000000", "3.7E-999999999999999990"])
+    @pytest.mark.parametrize("digits", [16, 17, 20])
+    def test_ln_with_more_integer_digits_than_carried(self, x, digits):
+        y = Decimal(x)
+        got = ln(y, PrecisionContext(digits))
+        assert got.as_tuple() == y.ln(libmpdec(digits)).as_tuple()
+
+    def test_undecided_roundings_are_retried(self, monkeypatch):
+        # with few guard bits many first tries land too near a rounding
+        # boundary to decide; Ziv's loop must retry them, never guess
+        monkeypatch.setattr(arith, "_ZIV_GUARD", 6)
+        calls = {"all": 0, "undecided": 0}
+        decide = arith._round_half_even
+
+        def counted(*args):
+            calls["all"] += 1
+            result = decide(*args)
+            calls["undecided"] += result is None
+            return result
+
+        monkeypatch.setattr(arith, "_round_half_even", counted)
+        rng = random.Random(8)
+        for digits in (16, 64, 384):
+            ctx = PrecisionContext(digits)
+            for _ in range(4):
+                for name, x in _differential_cases(rng, digits):
+                    got = getattr(arith, name)(x, ctx)
+                    assert got.as_tuple() == getattr(x, name)(libmpdec(digits)).as_tuple()
+        assert calls["undecided"] > 0
 
 
 class TestRoundToInteger:

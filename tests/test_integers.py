@@ -13,7 +13,22 @@ from airkey import (
     sample_distinct_primes,
     sample_prime,
 )
-from airkey.integers import sieve
+from airkey.integers import _PRIME_COUNT, sieve
+
+
+class BoundedRandom(random.Random):
+    """A generator that fails after a fixed number of draws instead of
+    letting a sampling loop that can never finish run forever."""
+
+    def __init__(self, seed, draws=10_000):
+        super().__init__(seed)
+        self.left = draws
+
+    def randrange(self, *args):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("sampling did not finish")
+        return super().randrange(*args)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -84,6 +99,16 @@ class TestSampling:
         primes, collisions = sample_distinct_primes(4, 1, random.Random(0))
         assert sorted(p.value for p in primes) == [2, 3, 5, 7]
         assert collisions > 0
+
+    def test_more_primes_than_exist_raises_at_once(self):
+        # only four 1-digit primes exist, so a fifth can never be drawn
+        with pytest.raises(ValueError, match="only 4 primes have 1 digits"):
+            sample_distinct_primes(5, 1, BoundedRandom(0))
+
+    def test_prime_counts_match_a_sieve(self):
+        primes = sieve(10**6)
+        for d in range(1, 7):
+            assert _PRIME_COUNT[d] == sum(10 ** (d - 1) <= p < 10**d for p in primes)
 
 
 class TestFactorization:
