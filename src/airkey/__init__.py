@@ -7,12 +7,9 @@ from .arith import (
     exp,
     leading_digit_overlap,
     ln,
-    round_to_integer,
     to_bigreal,
 )
 from .adversary import (
-    digit_security_report,
-    error_factor,
     error_factor_from_deltas,
     eve_attack_full,
     eve_attack_half,
@@ -32,7 +29,6 @@ from .errors import (
     FactorBoundExceeded,
     NonPositiveGain,
     NonPositiveInput,
-    NotNearInteger,
     Overflow,
 )
 from .fullduplex import run_full_round, run_protocol_fmac

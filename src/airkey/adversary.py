@@ -18,9 +18,7 @@ means she did not recover the key.
 
 from __future__ import annotations
 
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -47,21 +45,6 @@ class EveReport:
     key_equal: bool
     v: list[BigReal] | None = None
 
-    def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "psi_eve": str(self.psi_eve),
-            "psi_legit": str(self.psi_legit),
-            "ratios": [str(r) for r in self.ratios],
-            "error_factor": str(self.error_factor),
-            "abs_discrepancy": str(self.abs_discrepancy),
-            "digit_overlap": self.digit_overlap,
-            "per_factor_overlap": self.per_factor_overlap,
-            "key_equal": self.key_equal,
-            "v": [str(x) for x in self.v] if self.v is not None else None,
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
     """1 - prod(p_i ** delta_i): the multiplicative gap Eve's value carries."""
@@ -71,11 +54,6 @@ def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
             value = p.value if isinstance(p, PrimeInput) else p
             s += Decimal(d) * ln(value, ctx)
     return 1 - exp(s, ctx)
-
-
-def error_factor(primes, exponent_ratios, ctx: PrecisionContext) -> BigReal:
-    """Error factor for exponent ratios r_i: 1 - prod(p_i ** (r_i - 1))."""
-    return error_factor_from_deltas(primes, [r - 1 for r in exponent_ratios], ctx)
 
 
 def _power(base: int, exponent: BigReal, ctx: PrecisionContext) -> BigReal:
@@ -205,32 +183,3 @@ def eve_attack_full(
         key_equal=eve.recovered == true_secret,
         v=v,
     )
-
-
-def digit_security_report(
-    reports: list[EveReport],
-    prime_digits: int | None = None,
-    r_bound: float | None = None,
-) -> dict:
-    """Aggregate digit-agreement statistics over many attack reports.
-
-    With ``prime_digits`` given, also checks the trailing-digit claim: a
-    per-link ratio bounded away from 1 must flip at least the last two
-    digits of every distorted prime, i.e. every per-factor overlap stays at
-    or below prime_digits - 2.
-    """
-    histogram = Counter(r.digit_overlap for r in reports)
-    per_factor = [o for r in reports for o in r.per_factor_overlap]
-    summary = {
-        "n": len(reports),
-        "key_equal_count": sum(r.key_equal for r in reports),
-        "overlap_histogram": dict(sorted(histogram.items())),
-        "max_digit_overlap": max((r.digit_overlap for r in reports), default=0),
-        "max_per_factor_overlap": max(per_factor, default=0),
-        "r_bound": r_bound,
-    }
-    if prime_digits is not None:
-        summary["trailing_digits_changed"] = all(
-            o <= prime_digits - 2 for o in per_factor
-        )
-    return summary

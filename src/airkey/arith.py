@@ -17,10 +17,11 @@ digits are resolved.  A protocol applies the rule once to its worst receiver
 with :meth:`PrecisionContext.sized`, so the logs it takes carry every digit
 the product needs.  ``exp`` applies it only when its result's integer part
 does not fit with ``GUARD`` digits to spare (decimal exponent + GUARD >
-digits), so ``exp`` on a sized context adds no digits.  A strict context
-(``elastic=False``) is never widened: ``exp`` raises :class:`Overflow` in
-that case instead.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
-(:meth:`PrecisionContext.local`) so sums of logs keep their digits.
+digits), so ``exp`` on a sized context adds no digits.  The rule raises
+:class:`Overflow` for a result whose decimal exponent lies beyond
+``MAX_EXPONENT`` either way, before any digit is computed.  Ambient
+``+``/``*``/``/`` run at ``digits + GUARD`` (:meth:`PrecisionContext.local`)
+so sums of logs keep their digits.
 
 ``ln`` and ``exp`` take and return Decimals but compute in binary fixed
 point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
@@ -38,7 +39,7 @@ digit and exponent for exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -49,7 +50,7 @@ from decimal import (
     localcontext,
 )
 
-from .errors import NonPositiveInput, NotNearInteger, Overflow
+from .errors import NonPositiveInput, Overflow
 
 # Real-valued signals are plain Decimals; the alias marks intent in signatures.
 BigReal = Decimal
@@ -61,6 +62,10 @@ _EMAX = 10**9
 # the tolerance, and ambient arithmetic GUARD digits beyond the carried ones.
 GUARD = 16
 
+# Bound on the decimal exponent of any value the rule sizes, so no log or
+# exponential is ever asked for millions of digits.
+MAX_EXPONENT = 1_000_000
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -69,17 +74,9 @@ class PrecisionContext:
     digits
         significant decimal digits carried (>= 16); no value is ever carried
         at fewer.
-    elastic
-        when True, :meth:`sized` and ``exp`` carry a result at the digits the
-        module's rule gives it; when False the context is never widened and
-        ``exp`` raises :class:`Overflow` instead of ever mis-rounding.
-    max_exponent
-        hard bound on the decimal exponent of any ``exp`` result.
     """
 
     digits: int = 50
-    elastic: bool = True
-    max_exponent: int = 1_000_000
 
     def __post_init__(self):
         if self.digits < 16:
@@ -95,7 +92,15 @@ class PrecisionContext:
         return Decimal(1).scaleb(-(self.digits // 4))
 
     def digits_for(self, m: int) -> int:
-        """Digits to carry for a result with ``m`` integer digits."""
+        """Digits to carry for a result with ``m`` integer digits.
+
+        Raises :class:`Overflow` when the result's decimal exponent ``m - 1``
+        lies beyond ``MAX_EXPONENT`` either way.
+        """
+        if abs(m - 1) > MAX_EXPONENT:
+            raise Overflow(
+                f"result exponent {m - 1} exceeds bound {MAX_EXPONENT}"
+            )
         return max(self.digits, m + self.digits // 4 + 2 * GUARD)
 
     def sized(self, m: int) -> "PrecisionContext":
@@ -104,13 +109,9 @@ class PrecisionContext:
         Exponentiating amplifies any error in its argument by the size of the
         result, so the log-domain inputs must already carry as many digits as
         the product will have.  Size the caller's context once and keep
-        reading the tolerance from the caller's context.  A strict context
-        is returned unchanged: ``exp`` then raises Overflow instead of being
-        silently rescued here.
+        reading the tolerance from the caller's context.
         """
-        if not self.elastic:
-            return self
-        return replace(self, digits=self.digits_for(m))
+        return PrecisionContext(self.digits_for(m))
 
     def local(self):
         """Run ambient Decimal arithmetic at ``digits + GUARD`` digits.
@@ -163,9 +164,9 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
     The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
     result is inside the 2-ulp contract; ``exp(0)`` is exactly ``1``.  The
     carried precision is ``ctx.digits`` unless the result's decimal exponent
-    plus GUARD exceeds it; an elastic context then carries
-    ``ctx.digits_for(m)`` for a result of ``m`` integer digits, a strict
-    context raises :class:`Overflow`.
+    plus GUARD exceeds it, and then ``ctx.digits_for(m)`` for a result of
+    ``m`` integer digits.  A result whose decimal exponent lies beyond
+    ``MAX_EXPONENT`` raises :class:`Overflow`.
     """
     x = to_bigreal(x)
     if not x.is_finite():
@@ -174,18 +175,8 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
         raise Overflow(f"exp argument {x} is out of any representable range")
     approx = float(x)
     magnitude = math.floor(approx / _LN10)  # decimal exponent of the result
-    if abs(magnitude) > ctx.max_exponent:
-        raise Overflow(
-            f"exp result exponent {magnitude} exceeds bound {ctx.max_exponent}"
-        )
-    carried = ctx.digits
-    if magnitude + GUARD > ctx.digits:
-        if not ctx.elastic:
-            raise Overflow(
-                f"result needs about {magnitude + 1} integer digits but the "
-                f"context carries only {ctx.digits} (guard {GUARD})"
-            )
-        carried = ctx.digits_for(magnitude + 1)
+    wide = ctx.digits_for(magnitude + 1)
+    carried = wide if magnitude + GUARD > ctx.digits else ctx.digits
     if x.is_zero():
         return Decimal(1)
     # bits that x / ln 2 and the reduction's error take up: 2**nb >= 4 (|x| + 16)
@@ -396,21 +387,6 @@ def nearest_integer(x: BigReal):
                               Emax=_EMAX, Emin=-_EMAX)):
         distance = abs(x - n)
     return int(n), distance
-
-
-def round_to_integer(x: BigReal, tol: BigReal) -> int:
-    """Round ``x`` to the nearest integer if it is within ``tol`` of one.
-
-    Raises :class:`NotNearInteger` otherwise; the recorded distance tells a
-    caller whether precision ran out or the value is genuinely corrupted.
-    """
-    tol = to_bigreal(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n, distance = nearest_integer(x)
-    if distance > tol:
-        raise NotNearInteger(x, n, distance, tol)
-    return n
 
 
 def leading_digit_overlap(a: BigReal, b: BigReal) -> int:

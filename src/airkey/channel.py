@@ -19,7 +19,6 @@ observation is exponentiated, by the rule of :mod:`airkey.arith`.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -93,18 +92,6 @@ class ChannelState:
         if len(taps) != self.n_users:
             raise ValueError("need one tap per user")
         return replace(self, h_eve=taps)
-
-    def to_json(self, seed=None) -> str:
-        doc = {
-            "n": self.n_users,
-            "model": self.model.kind,
-            "h_star": str(self.h_star),
-            "h": [[str(g) for g in row] for row in self.h],
-            "h_eve": [str(g) for g in self.h_eve],
-            "noise_variance": str(self.noise_variance),
-            "seed": seed,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _rayleigh_gain(scale: BigReal, rng: random.Random) -> BigReal:

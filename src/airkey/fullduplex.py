@@ -59,8 +59,9 @@ def run_full_round(
     """The single simultaneous exchange, evaluated at every receiver.
 
     Needs a channel drawn in integer-fading mode.  Per-receiver recovery
-    failures are recorded in the reception, not raised; an exponential
-    overflow under a non-elastic precision context does raise, loudly.
+    failures are recorded in the reception, not raised; a product whose
+    decimal exponent exceeds ``arith.MAX_EXPONENT`` raises Overflow before
+    any log is taken.
     """
     if ch.c is None:
         raise ValueError("full-duplex exchange needs an integer-fading channel")

@@ -19,10 +19,8 @@ Precision follows the one rule of :mod:`airkey.arith`.  Every round of a
 run is carried at ``ctx.sized(m)``, ``max(digits, m + T + 2 * GUARD)``
 digits, where ``m`` is the number of integer digits of the worst receiver's
 product (every prime but the smallest), so each prime's log is taken once
-per run.  The tolerance stays ``ctx.tolerance = 10**-T``.  A strict
-context (``elastic=False``) is never widened: a product whose integer part
-does not fit with ``GUARD`` digits to spare raises Overflow from ``exp``.
-Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``.
+per run.  The tolerance stays ``ctx.tolerance = 10**-T``.  Signals are
+divided at ``ctx.local()`` precision, ``digits + GUARD``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -49,6 +49,16 @@ SWEEPABLE_FIELDS = (
     "trials",
 )
 
+# JSON types a config field accepts, by its annotation; floats must be finite
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     protocol: str = "hmac"
@@ -72,6 +82,14 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         problems = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _JSON_TYPES[f.type]:
+                problems[f.name] = f"must be {f.type}, got {type(value).__name__}"
+            elif isinstance(value, float) and not math.isfinite(value):
+                problems[f.name] = f"must be finite, got {value}"
+        if problems:
+            raise ConfigError(problems)
         if self.protocol not in ("hmac", "fmac"):
             problems["protocol"] = f"must be hmac or fmac, got {self.protocol!r}"
         if self.protocol == "fmac" and self.fading != "integer":
@@ -278,11 +296,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _coerce_axis_value(axis: str, value):
     field_type = type(getattr(ExperimentConfig(), axis))
-    if field_type is int:
-        return int(value)
-    if field_type is float:
-        return float(value)
-    return str(value)
+    try:
+        return field_type(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(
+            {axis: f"not a valid {field_type.__name__}: {value!r}"}
+        ) from e
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
@@ -291,8 +310,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
         raise ConfigError({"axis": f"not sweepable: {axis!r}"})
     base_out = cfg.out_dir
     table = []
-    for value in values:
-        coerced = _coerce_axis_value(axis, value)
+    for coerced in [_coerce_axis_value(axis, v) for v in values]:
         sub_out = None
         if base_out is not None:
             sub_out = str(Path(base_out) / f"{axis}_{coerced}")

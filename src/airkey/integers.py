@@ -180,14 +180,6 @@ class Factorization:
     def to_text(self) -> str:
         return " * ".join(f"{p}^{e}" for p, e in self.factors)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Factorization":
-        pairs = []
-        for part in text.split("*"):
-            p, _, e = part.strip().partition("^")
-            pairs.append((int(p), int(e) if e else 1))
-        return cls(tuple(pairs))
-
 
 def radical(f: Factorization) -> int:
     """Product of the distinct primes of ``f``."""

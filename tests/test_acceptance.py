@@ -26,13 +26,13 @@ from airkey import (
     exp,
     leading_digit_overlap,
     ln,
-    round_to_integer,
     run_experiment,
     run_protocol_fmac,
     run_round,
     sample_distinct_primes,
     sample_prime,
 )
+from airkey.arith import nearest_integer
 from airkey.harness import child_seed
 
 
@@ -252,7 +252,8 @@ def test_criterion_6_numerics_round_trip(capsys):
         with ctx.local():
             y = sum(ln(p, ctx) for p in picks)
         try:
-            if round_to_integer(exp(y, ctx), ctx.tolerance) != product:
+            n, distance = nearest_integer(exp(y, ctx))
+            if distance > ctx.tolerance or n != product:
                 failures += 1
         except Exception:
             failures += 1

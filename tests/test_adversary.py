@@ -1,15 +1,16 @@
-import json
 import math
 import random
 from decimal import Decimal
 
+import pytest
+
+from airkey import halfduplex
 from airkey import (
     FadingModel,
+    Overflow,
     PrecisionContext,
     PrimeInput,
-    digit_security_report,
     draw_channel,
-    error_factor,
     error_factor_from_deltas,
     estimate_csi,
     eve_attack_full,
@@ -48,11 +49,11 @@ def fmac_setup(n, c_max, seed, taps=None):
 class TestErrorFactor:
     def test_all_ratios_one(self):
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
-        assert error_factor(primes, [Decimal(1)] * 3, CTX) == 0
+        assert error_factor_from_deltas(primes, [Decimal(0)] * 3, CTX) == 0
 
     def test_hand_computed(self):
         # 1 - 2^(2-1) = -1
-        assert error_factor([PrimeInput(2, 1)], [Decimal(2)], CTX) == -1
+        assert error_factor_from_deltas([PrimeInput(2, 1)], [Decimal(1)], CTX) == -1
 
     def test_matches_direct_product(self):
         rng = random.Random(3)
@@ -72,7 +73,7 @@ class TestErrorFactor:
         r = Decimal("1.0001")
         last = Decimal(0)
         for n in range(2, 11):
-            e = abs(error_factor(primes[:n], [r] * n, CTX))
+            e = abs(error_factor_from_deltas(primes[:n], [r - 1] * n, CTX))
             assert e >= last
             last = e
 
@@ -141,18 +142,6 @@ class TestEveAttackHalf:
         assert report.mode == "half-two-round"
         assert report.key_equal
 
-    def test_strict_context_attack_runs_when_product_fits(self):
-        strict = PrecisionContext(64, elastic=False)
-        primes, ch, csi = hmac_setup(4, 6)
-        r0 = run_round(0, primes, ch, csi, strict)
-        r1 = run_round(1, primes, ch, csi, strict)
-        secret = math.prod(p.value for p in primes)
-        report = eve_attack_half(
-            r0, primes, ch, strict, true_secret=secret, second_record=r1
-        )
-        assert report.mode == "half-two-round"
-        assert not report.key_equal
-
     def test_two_round_interception_fails_off_integer(self):
         primes, ch, csi = hmac_setup(
             3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
@@ -208,6 +197,20 @@ class TestEveAttackFull:
         assert report.v is not None
         assert abs(report.v[0] - Decimal("1.9990") / 2) < Decimal("1e-20")
 
+    def test_product_beyond_exponent_bound_raises_before_any_log(self, monkeypatch):
+        # taps 10**6 times h_star give Eve a product of millions of digits
+        primes, ch = fmac_setup(
+            3, 3, 12, taps=lambda ch, rng: [10**6 * ch.h_star for _ in range(3)]
+        )
+        obs = run_full_round(primes, ch, CTX)
+
+        def no_ln(x, ctx):
+            raise AssertionError(f"ln taken at {ctx.digits} digits")
+
+        monkeypatch.setattr(halfduplex, "ln", no_ln)
+        with pytest.raises(Overflow):
+            eve_attack_full(primes, obs, ch, CTX)
+
     def test_factored_identity(self):
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - c_i0)), where the
         # receiver's own delta is the full r_0 (Eve hears it, receiver not)
@@ -223,35 +226,3 @@ class TestEveAttackFull:
         with CTX.local():
             rhs = report.psi_legit * abs(e_r)
             assert abs(report.abs_discrepancy - rhs) / rhs < Decimal("1e-20")
-
-
-def test_report_json_round_trip():
-    primes, ch = fmac_setup(2, 2, 11)
-    obs = run_full_round(primes, ch, CTX)
-    report = eve_attack_full(primes, obs, ch, CTX)
-    doc = json.loads(report.to_json())
-    assert doc["mode"] == "full"
-    assert Decimal(doc["psi_eve"]) == report.psi_eve
-    assert doc["key_equal"] == report.key_equal
-    assert len(doc["ratios"]) == 2
-
-
-def test_digit_security_report_aggregates():
-    reports = []
-    for seed in range(30):
-        primes, ch, csi = hmac_setup(
-            3,
-            seed,
-            taps=lambda ch, rng: [
-                ch.h[i][0] * (1 + Decimal(rng.randrange(2, 100)) / 10**4)
-                for i in range(3)
-            ],
-        )
-        record = run_round(0, primes, ch, csi, CTX)
-        reports.append(eve_attack_half(record, primes, ch, CTX))
-    summary = digit_security_report(reports, prime_digits=6, r_bound=1.0001)
-    assert summary["n"] == 30
-    assert summary["key_equal_count"] == 0
-    assert sum(summary["overlap_histogram"].values()) == 30
-    assert summary["trailing_digits_changed"]
-    assert summary["max_per_factor_overlap"] <= 4

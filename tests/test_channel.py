@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from decimal import Context, Decimal, localcontext
@@ -240,16 +239,6 @@ class TestCsi:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             estimate_csi(ideal_channel(2), "additive")
-
-
-def test_channel_json_dump_round_trips():
-    ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(21))
-    doc = json.loads(ch.to_json(seed=21))
-    assert doc["n"] == 3
-    assert doc["model"] == "rayleigh"
-    assert doc["seed"] == 21
-    assert Decimal(doc["h"][0][1]) == ch.h[0][1]
-    assert len(doc["h_eve"]) == 3
 
 
 def test_with_eve_taps_needs_one_per_user():

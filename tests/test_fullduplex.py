@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from airkey import halfduplex
 from airkey import (
     DuplicatePrimeDetected,
     FadingModel,
@@ -96,15 +97,16 @@ class TestRunFullRound:
                 [PrimeInput(3, 1), PrimeInput(3, 1)], forced_c_channel(2, 1), CTX
             )
 
-    def test_strict_context_overflows_loudly(self):
-        # a 256-digit-demand product under a non-elastic 64-digit context
-        # must raise, never silently mis-round
-        strict = PrecisionContext(64, elastic=False)
-        rng = random.Random(11)
-        primes, _ = sample_distinct_primes(8, 5, rng)
-        ch = integer_channel(8, 8, 11)
+    def test_product_beyond_exponent_bound_raises_before_any_log(self, monkeypatch):
+        # c = 300000 on 6-digit primes: a product of millions of digits.  The
+        # bound is checked where the digits are decided, before any log.
+        def no_ln(x, ctx):
+            raise AssertionError(f"ln taken at {ctx.digits} digits")
+
+        monkeypatch.setattr(halfduplex, "ln", no_ln)
+        primes, _ = sample_distinct_primes(3, 6, random.Random(0))
         with pytest.raises(Overflow):
-            run_full_round(primes, ch, strict)
+            run_full_round(primes, forced_c_channel(3, 300_000), CTX)
 
 
 class TestRecoverSecret:

@@ -159,15 +159,6 @@ class TestProtocol:
         assert t.agreed_secret() == math.prod(p.value for p in primes)
         assert sorted(calls) == sorted(p.value for p in primes)
 
-    def test_strict_context_agrees_when_product_fits(self):
-        # the worst product has about 18 digits: a strict 64-digit context
-        # resolves it without widening
-        strict = PrecisionContext(64, elastic=False)
-        primes, ch, csi, _ = make_setup(4, FadingModel.rayleigh(1), 6)
-        t = run_protocol_hmac(primes, ch, csi, strict)
-        assert t.agreed_secret() == math.prod(p.value for p in primes)
-        assert all(len(r.post_value.as_tuple().digits) <= 64 for r in t.rounds)
-
     def test_noise_degrades_without_crashing(self):
         failures = 0
         for seed in range(10):

@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ('{"n_users": "4"}', "n_users"),
+            ('{"rayleigh_scale": NaN}', "rayleigh_scale"),
+            ('{"csi_error": Infinity}', "csi_error"),
+            ('{"eve": 1}', "eve"),
+            ('{"h_star": 1}', "h_star"),
+            ('{"out_dir": 5}', "out_dir"),
+        ],
+    )
+    def test_wrong_json_type_or_non_finite_float(self, doc, field):
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_json(doc)
+        assert field in e.value.problems
+
     @pytest.mark.parametrize("digits,most", [(1, 4), (2, 21)])
     def test_more_users_than_primes_of_that_length(self, digits, most):
         # drawing distinct primes could never finish
@@ -230,6 +246,23 @@ class TestCli:
             "--out", str(target / "sub"),
         )
         assert code == 3
+
+    def test_wrong_typed_config_field_exits_2(self, tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_text('{"n_users": "4"}')
+        code = self.run_cli(
+            "run", "--config", str(conf), "--seed", "1",
+            "--trials", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+
+    def test_sweep_value_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        code = self.run_cli(
+            "sweep", "--protocol", "hmac", "--seed", "1", "--trials", "1",
+            "--out", str(tmp_path / "s"), "--axis", "n_users", "--values", "2,x",
+        )
+        assert code == 2
+        assert "n_users" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         code = self.run_cli(
