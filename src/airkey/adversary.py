@@ -8,12 +8,15 @@ reaches her raised to a slightly wrong exponent; the resulting value
 differs from the legitimate product by a multiplicative error factor that
 vanishes only when every exponent ratio is exactly 1.
 
-Eve's decisions use the listener step of the legitimate receivers,
+Each attack runs the listener step of the legitimate receivers,
 :func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
 noise, and against the full-duplex exchange also its factor step
 :func:`airkey.fullduplex.factor`.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
-means she did not recover the key.
+means she did not recover the key.  One scoring step compares her
+reception with the legitimate receiver's: the gap is
+``|psi_legit - eve.post_value|`` and the error factor
+``1 - eve.post_value / psi_legit``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from decimal import Decimal
 
 from .arith import BigReal, PrecisionContext, exp, leading_digit_overlap, ln
 from .channel import ChannelState
-from .fullduplex import factor
+from .fullduplex import factor, sized_exchange
 from .halfduplex import pre_process, receive
 from .integers import PrimeInput
 from .transcript import Reception
@@ -32,18 +35,24 @@ from .transcript import Reception
 
 @dataclass
 class EveReport:
-    """Outcome of one eavesdropping attempt against one execution."""
+    """Eve's reception in one execution, scored against a legitimate one.
 
-    mode: str
-    psi_eve: BigReal
+    ``eve`` is her reception and ``psi_legit`` the post-processed value of
+    the legitimate receiver she is compared with.  ``ratios`` are the
+    exponents the primes reach her with: one per transmitter of the
+    half-duplex round, h_eve[i] / h_star per user of the full-duplex
+    exchange.  ``digit_overlap`` counts the leading digits her value shares
+    with ``psi_legit``; ``per_factor_overlap`` those each factor of the
+    legitimate product shares with its prime raised to her ratio.
+    ``key_equal`` says whether she recovered the group secret.
+    """
+
+    eve: Reception
     psi_legit: BigReal
     ratios: list[BigReal]
-    error_factor: BigReal
-    abs_discrepancy: BigReal
     digit_overlap: int
     per_factor_overlap: list[int]
     key_equal: bool
-    v: list[BigReal] | None = None
 
 
 def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
@@ -56,16 +65,28 @@ def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
     return 1 - exp(s, ctx)
 
 
-def _power(base: int, exponent: BigReal, ctx: PrecisionContext) -> BigReal:
-    with ctx.local():
-        return exp(Decimal(exponent) * ln(base, ctx), ctx)
+def _score(eve, psi_legit, ratios, factors, key_equal, ctx) -> EveReport:
+    """The report on Eve's reception.
 
-
-def _discrepancy(psi_legit, psi_eve, ctx):
-    with ctx.local():
-        gap = abs(psi_legit - psi_eve)
-        e_r = 1 - psi_eve / psi_legit
-    return +gap, +e_r
+    ``factors`` holds (prime, legitimate exponent, Eve's ratio) for each
+    factor of the legitimate product.
+    """
+    per_factor = []
+    for p, e, r in factors:
+        with ctx.local():
+            power = exp(r * ln(p, ctx), ctx)
+        per_factor.append(leading_digit_overlap(p**e, power))
+    # a value recorded as 0 or infinite (receive) shares no digit
+    values = (psi_legit, eve.post_value)
+    carried = all(v.is_finite() and v > 0 for v in values)
+    return EveReport(
+        eve=eve,
+        psi_legit=psi_legit,
+        ratios=ratios,
+        digit_overlap=leading_digit_overlap(*values) if carried else 0,
+        per_factor_overlap=per_factor,
+        key_equal=key_equal,
+    )
 
 
 def eve_attack_half(
@@ -73,7 +94,6 @@ def eve_attack_half(
     primes: list[PrimeInput],
     ch: ChannelState,
     ctx: PrecisionContext,
-    true_secret: int | None = None,
     second_record: Reception | None = None,
 ) -> EveReport:
     """Eve against a half-duplex round (noiseless sniffing, worst case).
@@ -84,9 +104,7 @@ def eve_attack_half(
     listeners she receives both and, if both are accepted, recombines them
     via their least common multiple.
     """
-    first = receive(None, record.signals, ch.h_eve, ctx, ctx.tolerance)
-    psi_eve = first.post_value
-    psi_legit = record.post_value
+    eve = receive(None, record.signals, ch.h_eve, ctx, ctx.tolerance)
     transmitters = [i for i, s in enumerate(record.signals) if s is not None]
     with ctx.local():
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
@@ -94,44 +112,23 @@ def eve_attack_half(
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
             for i in transmitters
         ]
-    per_factor = [
-        leading_digit_overlap(primes[i].value, _power(primes[i].value, r, ctx))
-        for i, r in zip(transmitters, ratios)
-    ]
-    gap, e_r = _discrepancy(psi_legit, psi_eve, ctx)
-
     key_equal = False
-    mode = "half-single"
-    if second_record is not None:
-        mode = "half-two-round"
-        if first.recovered is not None and true_secret is not None:
-            second = receive(None, second_record.signals, ch.h_eve, ctx, ctx.tolerance)
-            key_equal = (
-                second.recovered is not None
-                and math.lcm(first.recovered, second.recovered) == true_secret
-            )
-    return EveReport(
-        mode=mode,
-        psi_eve=psi_eve,
-        psi_legit=psi_legit,
-        ratios=ratios,
-        error_factor=e_r,
-        abs_discrepancy=gap,
-        digit_overlap=leading_digit_overlap(psi_legit, psi_eve),
-        per_factor_overlap=per_factor,
-        key_equal=key_equal,
-    )
+    if second_record is not None and eve.recovered is not None:
+        second = receive(None, second_record.signals, ch.h_eve, ctx, ctx.tolerance)
+        key_equal = second.recovered is not None and math.lcm(
+            eve.recovered, second.recovered
+        ) == math.prod(p.value for p in primes)
+    factors = [(primes[i].value, 1, r) for i, r in zip(transmitters, ratios)]
+    return _score(eve, record.post_value, ratios, factors, key_equal, ctx)
 
 
 def eve_attack_full(
+    record: Reception,
     primes: list[PrimeInput],
-    observations: list[Reception],
     ch: ChannelState,
     ctx: PrecisionContext,
-    receiver: int = 0,
-    true_secret: int | None = None,
 ) -> EveReport:
-    """Eve against the full-duplex exchange.
+    """Eve against the full-duplex exchange, compared with ``record``'s receiver.
 
     She hears all N terms (no self-interference cancellation on her side)
     with exponents h_eve[i] / h_star.  Her decision procedure is the
@@ -141,45 +138,14 @@ def eve_attack_full(
     """
     if ch.c is None:
         raise ValueError("full-duplex attack needs an integer-fading channel")
-    magnitude = int(
-        sum(
-            float(ch.h_eve[i]) / float(ch.h_star) * math.log10(primes[i].value)
-            for i in range(ch.n_users)
-        )
-    )
-    work = ctx.sized(magnitude + 1)
+    with ctx.local():
+        ratios = [+(h / ch.h_star) for h in ch.h_eve]
+    work = sized_exchange(primes, [ratios], ctx)
     signals = [pre_process(p, ch.h_star, work) for p in primes]
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
-    psi_eve = eve.post_value
-    psi_legit = observations[receiver].post_value
-    with ctx.local():
-        ratios = [+(ch.h_eve[i] / ch.h_star) for i in range(ch.n_users)]
-        v = [
-            +(ratios[i] / ch.c[i][receiver])
-            for i in range(ch.n_users)
-            if i != receiver
-        ]
-    per_factor = [
-        leading_digit_overlap(
-            primes[i].value ** ch.c[i][receiver],
-            _power(primes[i].value, ratios[i], ctx),
-        )
-        for i in range(ch.n_users)
-        if i != receiver
+    j = record.receiver
+    factors = [
+        (p.value, ch.c[i][j], ratios[i]) for i, p in enumerate(primes) if i != j
     ]
-    gap, e_r = _discrepancy(psi_legit, psi_eve, ctx)
-
-    if true_secret is None:
-        true_secret = math.prod(p.value for p in primes)
-    return EveReport(
-        mode="full",
-        psi_eve=psi_eve,
-        psi_legit=psi_legit,
-        ratios=ratios,
-        error_factor=e_r,
-        abs_discrepancy=gap,
-        digit_overlap=leading_digit_overlap(psi_legit, psi_eve),
-        per_factor_overlap=per_factor,
-        key_equal=eve.recovered == true_secret,
-        v=v,
-    )
+    key_equal = eve.recovered == math.prod(p.value for p in primes)
+    return _score(eve, record.post_value, ratios, factors, key_equal, ctx)

@@ -83,7 +83,6 @@ class ChannelState:
     h_eve: tuple[BigReal, ...]
     h_star: BigReal
     noise_variance: BigReal
-    model: FadingModel
     c: tuple[tuple[int, ...], ...] | None = None
 
     def with_eve_taps(self, taps) -> "ChannelState":
@@ -148,7 +147,6 @@ def draw_channel(
         h_eve=h_eve,
         h_star=h_star,
         noise_variance=noise_variance,
-        model=model,
         c=tuple(tuple(row) for row in c) if c is not None else None,
     )
 
@@ -195,39 +193,27 @@ def superpose(
     return total
 
 
-@dataclass(frozen=True)
-class CsiEstimate:
-    """Per-link gain estimates available to the transmitters."""
-
-    h_hat: tuple[tuple[BigReal, ...], ...]
-    kind: str  # "perfect" | "relative"
-    epsilon: float = 0.0
-
-
 def estimate_csi(
     ch: ChannelState,
-    error_model: str = "perfect",
     epsilon: float = 0.0,
     rng: random.Random | None = None,
-) -> CsiEstimate:
-    """Channel estimates: exact, or with bounded relative error.
+) -> tuple[tuple[BigReal, ...], ...]:
+    """The transmitters' gain estimate matrix ``h_hat``.
 
-    ``relative`` perturbs each directed link independently by a uniform
-    relative factor in [-epsilon, epsilon]; estimates are drawn once per
-    channel realization and reused for every round.  Each estimate is the
-    exact product h * (1 + e), so even an error far below float resolution
-    shows in it.
+    With ``epsilon`` 0 it is ``ch.h``.  Otherwise each directed link is
+    perturbed independently by a uniform relative factor in
+    [-epsilon, epsilon]; estimates are drawn once per channel realization
+    and reused for every round.  Each estimate is the exact product
+    h * (1 + e), so even an error far below float resolution shows in it.
     """
-    if error_model not in ("perfect", "relative"):
-        raise ValueError(f"unknown CSI error model {error_model!r}")
     if epsilon < 0:
         raise ValueError("epsilon cannot be negative")
-    if error_model == "perfect" or epsilon == 0:
-        return CsiEstimate(h_hat=ch.h, kind=error_model, epsilon=epsilon)
+    if epsilon == 0:
+        return ch.h
     if rng is None:
         raise ValueError("relative CSI error needs an rng")
     n = ch.n_users
-    h_hat = tuple(
+    return tuple(
         tuple(
             _EXACT.multiply(
                 ch.h[i][j], _EXACT.add(1, to_bigreal(rng.uniform(-epsilon, epsilon)))
@@ -238,4 +224,3 @@ def estimate_csi(
         )
         for i in range(n)
     )
-    return CsiEstimate(h_hat=h_hat, kind="relative", epsilon=epsilon)

@@ -21,7 +21,7 @@ import random
 
 from .arith import PrecisionContext
 from .channel import ChannelState
-from .errors import DuplicatePrimeDetected, FactorBoundExceeded
+from .errors import DuplicatePrimeDetected, FactorBoundExceeded, Overflow
 from .halfduplex import pre_process, receive
 from .integers import PrimeInput, factorize, radical
 from .transcript import ProtocolTranscript, Reception
@@ -50,6 +50,23 @@ def factor(r: Reception) -> Reception:
     return r
 
 
+def sized_exchange(primes: list[PrimeInput], columns, ctx: PrecisionContext):
+    """``ctx`` sized for the largest product prod p_i ** e_i of one exchange.
+
+    ``columns`` holds one exponent column per listener: a column of ``ch.c``
+    for a receiver, the quotients h_eve[i] / h_star for the eavesdropper.
+    A product whose decimal exponent is beyond ``arith.MAX_EXPONENT`` or
+    not finite raises Overflow before any log is taken.
+    """
+    magnitude = max(
+        sum(float(e) * math.log10(p.value) for p, e in zip(primes, column))
+        for column in columns
+    )
+    if not math.isfinite(magnitude):
+        raise Overflow(f"product magnitude {magnitude} is not finite")
+    return ctx.sized(int(magnitude) + 1)
+
+
 def run_full_round(
     primes: list[PrimeInput],
     ch: ChannelState,
@@ -68,13 +85,8 @@ def run_full_round(
     if len(primes) != ch.n_users:
         raise ValueError("need one prime per user")
     _check_distinct(primes)
-    # worst receiver decides the digit demand: sum of c_ij * digits(p_i);
-    # the zero diagonal of c drops the receiver's own prime
-    magnitude = max(
-        int(sum(ch.c[i][j] * math.log10(p.value) for i, p in enumerate(primes)))
-        for j in range(ch.n_users)
-    )
-    work = ctx.sized(magnitude + 1)
+    # the zero diagonal of c drops each receiver's own prime
+    work = sized_exchange(primes, zip(*ch.c), ctx)
     signals = [pre_process(p, ch.h_star, work) for p in primes]
     return [
         factor(receive(

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 
 from .arith import BigReal, PrecisionContext, exp, ln, nearest_integer
-from .channel import ChannelState, CsiEstimate, superpose
-from .errors import NonPositiveGain
+from .channel import ChannelState, superpose
+from .errors import NonPositiveGain, Overflow
 from .integers import PrimeInput
 from .transcript import ProtocolTranscript, Reception
 
@@ -72,11 +73,19 @@ def receive(
     gains from each user and ``work`` the sized context the signals were
     made at.  The nearest integer is accepted when it lies within ``tol``
     and is at least 2, the least product of primes; otherwise the record
-    carries ``recovered`` None and the reason code.
+    carries ``recovered`` None and the reason code.  A value whose decimal
+    exponent is beyond ``arith.MAX_EXPONENT``, as strong noise can make it,
+    is recorded as infinite (``not-near-integer``) or as 0
+    (``not-a-prime-product``).
     """
     observation = superpose(signals, taps, noise_variance, rng)
-    post_value = exp(observation, work)
-    nearest, distance = nearest_integer(post_value)
+    try:
+        post_value = exp(observation, work)
+    except Overflow:
+        post_value = Decimal("Infinity" if observation > 0 else 0)
+    nearest, distance = (
+        (0, post_value) if post_value.is_infinite() else nearest_integer(post_value)
+    )
     failure = None
     if distance > tol:
         failure = "not-near-integer"
@@ -97,21 +106,23 @@ def run_round(
     j: int,
     primes: list[PrimeInput],
     ch: ChannelState,
-    csi: CsiEstimate,
+    h_hat,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
     logs: dict[tuple[int, int], BigReal] | None = None,
 ) -> Reception:
     """Execute the round in which user ``j`` listens.
 
-    ``logs`` is passed on to :func:`pre_process`.  A failed recovery is
-    recorded in the returned reception, not raised.
+    ``h_hat`` is the transmitters' gain estimate matrix
+    (:func:`airkey.channel.estimate_csi`).  ``logs`` is passed on to
+    :func:`pre_process`.  A failed recovery is recorded in the returned
+    reception, not raised.
     """
     # the worst receiver hears every prime but the smallest
     log10s = sorted(math.log10(p.value) for p in primes)
     work = ctx.sized(int(sum(log10s[1:])) + 1)
     signals = [
-        None if i == j else pre_process(primes[i], csi.h_hat[i][j], work, logs)
+        None if i == j else pre_process(primes[i], h_hat[i][j], work, logs)
         for i in range(ch.n_users)
     ]
     return receive(
@@ -123,7 +134,7 @@ def run_round(
 def run_protocol_hmac(
     primes: list[PrimeInput],
     ch: ChannelState,
-    csi: CsiEstimate,
+    h_hat,
     ctx: PrecisionContext,
     rng: random.Random | None = None,
 ) -> ProtocolTranscript:
@@ -137,7 +148,7 @@ def run_protocol_hmac(
     if len(primes) != n:
         raise ValueError("need one prime per user")
     logs: dict[tuple[int, int], BigReal] = {}
-    rounds = [run_round(j, primes, ch, csi, ctx, rng=rng, logs=logs) for j in range(n)]
+    rounds = [run_round(j, primes, ch, h_hat, ctx, rng=rng, logs=logs) for j in range(n)]
     return ProtocolTranscript(
         protocol="hmac",
         n_users=n,

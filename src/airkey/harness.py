@@ -116,11 +116,15 @@ class ExperimentConfig:
                 problems["h_star"] = "must be positive"
         except ArithmeticError:
             problems["h_star"] = f"not a decimal: {self.h_star!r}"
-        if self.csi_error < 0:
-            problems["csi_error"] = "cannot be negative"
+        if not 0 <= self.csi_error < 1:
+            # an estimate h * (1 + e) with |e| <= csi_error must stay positive
+            problems["csi_error"] = "must be in [0, 1)"
         try:
-            if Decimal(self.noise_variance) < 0:
+            noise = Decimal(self.noise_variance)
+            if noise < 0:
                 problems["noise_variance"] = "cannot be negative"
+            elif not math.isfinite(float(noise)):
+                problems["noise_variance"] = "must be finite as a float"
         except ArithmeticError:
             problems["noise_variance"] = f"not a decimal: {self.noise_variance!r}"
         if self.eve_mode not in ("single", "two_round"):
@@ -194,13 +198,8 @@ def run_trial(cfg: ExperimentConfig, trial: int):
     secret = math.prod(p.value for p in primes)
 
     if cfg.protocol == "hmac":
-        csi = estimate_csi(
-            ch,
-            "relative" if cfg.csi_error > 0 else "perfect",
-            cfg.csi_error,
-            rng,
-        )
-        transcript = run_protocol_hmac(primes, ch, csi, ctx, rng=rng)
+        h_hat = estimate_csi(ch, cfg.csi_error, rng)
+        transcript = run_protocol_hmac(primes, ch, h_hat, ctx, rng=rng)
     else:
         transcript = run_protocol_fmac(primes, ch, ctx, rng=rng)
 
@@ -208,14 +207,9 @@ def run_trial(cfg: ExperimentConfig, trial: int):
     if cfg.eve:
         if cfg.protocol == "hmac":
             second = transcript.rounds[1] if cfg.eve_mode == "two_round" else None
-            report = eve_attack_half(
-                transcript.rounds[0], primes, ch, ctx,
-                true_secret=secret, second_record=second,
-            )
+            report = eve_attack_half(transcript.rounds[0], primes, ch, ctx, second)
         else:
-            report = eve_attack_full(
-                primes, transcript.rounds, ch, ctx, receiver=0, true_secret=secret
-            )
+            report = eve_attack_full(transcript.rounds[0], primes, ch, ctx)
 
     row = {
         "trial": trial,

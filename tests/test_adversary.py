@@ -1,4 +1,3 @@
-import math
 import random
 from decimal import Decimal
 
@@ -27,6 +26,11 @@ from airkey import (
 CTX = PrecisionContext(128)
 
 
+def gap(report):
+    with CTX.local():
+        return abs(report.psi_legit - report.eve.post_value)
+
+
 def hmac_setup(n, seed, taps=None, digits=6):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, digits, rng)
@@ -37,10 +41,10 @@ def hmac_setup(n, seed, taps=None, digits=6):
     return primes, ch, csi
 
 
-def fmac_setup(n, c_max, seed, taps=None):
+def fmac_setup(n, c_max, seed, taps=None, h_star=1):
     rng = random.Random(seed)
     primes, _ = sample_distinct_primes(n, 4, rng)
-    ch = draw_channel(n, FadingModel.integer(c_max), 1, 0, rng)
+    ch = draw_channel(n, FadingModel.integer(c_max), h_star, 0, rng)
     if taps is not None:
         ch = ch.with_eve_taps(taps(ch, rng))
     return primes, ch
@@ -86,8 +90,9 @@ class TestEveAttackHalf:
         record = run_round(0, primes, ch, csi, CTX)
         report = eve_attack_half(record, primes, ch, CTX)
         assert all(abs(r - 1) < Decimal("1e-100") for r in report.ratios)
-        assert abs(report.error_factor) < Decimal("1e-90")
-        assert report.abs_discrepancy / report.psi_legit < Decimal("1e-90")
+        with CTX.local():
+            assert abs(1 - report.eve.post_value / report.psi_legit) < Decimal("1e-90")
+            assert gap(report) / report.psi_legit < Decimal("1e-90")
         assert not report.key_equal
 
     def test_single_transmitter_power_law(self):
@@ -99,7 +104,7 @@ class TestEveAttackHalf:
         report = eve_attack_half(record, primes, ch, CTX)
         with CTX.local():
             want = exp(Decimal("1.001001") * ln(100003, CTX), CTX)
-        assert abs(report.psi_eve - want) / want < Decimal("1e-100")
+        assert abs(report.eve.post_value - want) / want < Decimal("1e-100")
         assert report.digit_overlap <= 3
 
     def test_biased_taps_always_leave_discrepancy(self):
@@ -114,18 +119,19 @@ class TestEveAttackHalf:
             )
             record = run_round(0, primes, ch, csi, CTX)
             report = eve_attack_half(record, primes, ch, CTX)
-            assert report.abs_discrepancy > 0
+            assert gap(report) > 0
             assert not report.key_equal
 
     def test_factored_identity(self):
-        # |psi_legit - psi_eve| == psi_legit * |E_r| to tight tolerance
+        # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - 1)) over the
+        # transmitters, the listener's own prime excluded
         primes, ch, csi = hmac_setup(4, 6, taps=lambda ch, rng: rayleigh_taps(4, 1, rng))
         record = run_round(0, primes, ch, csi, CTX)
         report = eve_attack_half(record, primes, ch, CTX)
+        e_r = error_factor_from_deltas(primes[1:], [r - 1 for r in report.ratios], CTX)
         with CTX.local():
-            lhs = report.abs_discrepancy
-            rhs = report.psi_legit * abs(report.error_factor)
-            assert abs(lhs - rhs) / lhs < Decimal("1e-20")
+            rhs = report.psi_legit * abs(e_r)
+            assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")
 
     def test_two_round_interception_on_transparent_channel(self):
         # ideal gains and matched taps: Eve recombines two rounds exactly
@@ -135,11 +141,7 @@ class TestEveAttackHalf:
         csi = estimate_csi(ch)
         r0 = run_round(0, primes, ch, csi, CTX)
         r1 = run_round(1, primes, ch, csi, CTX)
-        secret = math.prod(p.value for p in primes)
-        report = eve_attack_half(
-            r0, primes, ch, CTX, true_secret=secret, second_record=r1
-        )
-        assert report.mode == "half-two-round"
+        report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
         assert report.key_equal
 
     def test_two_round_interception_fails_off_integer(self):
@@ -148,10 +150,7 @@ class TestEveAttackHalf:
         )
         r0 = run_round(0, primes, ch, csi, CTX)
         r1 = run_round(1, primes, ch, csi, CTX)
-        secret = math.prod(p.value for p in primes)
-        report = eve_attack_half(
-            r0, primes, ch, CTX, true_secret=secret, second_record=r1
-        )
+        report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
         assert not report.key_equal
 
 
@@ -162,7 +161,7 @@ class TestEveAttackFull:
             3, 3, 9, taps=lambda ch, rng: [2 * ch.h_star for _ in range(3)]
         )
         obs = run_full_round(primes, ch, CTX)
-        report = eve_attack_full(primes, obs, ch, CTX)
+        report = eve_attack_full(obs[0], primes, ch, CTX)
         assert report.key_equal
         assert all(r == 2 for r in report.ratios)
 
@@ -172,9 +171,9 @@ class TestEveAttackFull:
                 4, 4, seed, taps=lambda ch, rng: rayleigh_taps(4, 1, rng)
             )
             obs = run_full_round(primes, ch, CTX)
-            report = eve_attack_full(primes, obs, ch, CTX)
+            report = eve_attack_full(obs[0], primes, ch, CTX)
             assert not report.key_equal
-            assert report.abs_discrepancy > 0
+            assert gap(report) > 0
 
     def test_power_oracle_two_users(self):
         # h_eve/h_star = (2.001, 1.999) on primes (3, 5) with c = 2
@@ -186,16 +185,14 @@ class TestEveAttackFull:
         ch = replace(ch, h=h, c=((0, 2), (2, 0)))
         ch = ch.with_eve_taps([Decimal("2.001"), Decimal("1.999")])
         obs = run_full_round(primes, ch, CTX)
-        report = eve_attack_full(primes, obs, ch, CTX)
+        report = eve_attack_full(obs[0], primes, ch, CTX)
         with CTX.local():
             want = exp(
                 Decimal("2.001") * ln(3, CTX) + Decimal("1.999") * ln(5, CTX), CTX
             )
-        assert abs(report.psi_eve - want) / want < Decimal("1e-100")
-        assert leading_digit_overlap(225, report.psi_eve) <= 3
-        # v ratios recorded relative to the receiver's c column
-        assert report.v is not None
-        assert abs(report.v[0] - Decimal("1.9990") / 2) < Decimal("1e-20")
+        assert abs(report.eve.post_value - want) / want < Decimal("1e-100")
+        assert leading_digit_overlap(225, report.eve.post_value) <= 3
+        assert report.ratios[1] == Decimal("1.999")
 
     def test_product_beyond_exponent_bound_raises_before_any_log(self, monkeypatch):
         # taps 10**6 times h_star give Eve a product of millions of digits
@@ -209,7 +206,26 @@ class TestEveAttackFull:
 
         monkeypatch.setattr(halfduplex, "ln", no_ln)
         with pytest.raises(Overflow):
-            eve_attack_full(primes, obs, ch, CTX)
+            eve_attack_full(obs[0], primes, ch, CTX)
+
+    def test_reference_gain_below_float_range(self):
+        # h_star = 1e-400 is 0 as a float; Eve's quotients h_eve / h_star
+        # are exact decimals, so matched integer taps still give her c
+        primes, ch = fmac_setup(3, 3, 13, h_star=Decimal("1e-400"))
+        obs = run_full_round(primes, ch, CTX)
+        report = eve_attack_full(obs[0], primes, ch, CTX)
+        assert all(r == int(r) for r in report.ratios)
+        assert report.key_equal
+
+    def test_rayleigh_taps_over_tiny_reference_gain_overflow(self):
+        # quotients about 1e400 make a product beyond any bound
+        primes, ch = fmac_setup(
+            3, 3, 14, taps=lambda ch, rng: rayleigh_taps(3, 1, rng),
+            h_star=Decimal("1e-400"),
+        )
+        obs = run_full_round(primes, ch, CTX)
+        with pytest.raises(Overflow):
+            eve_attack_full(obs[0], primes, ch, CTX)
 
     def test_factored_identity(self):
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - c_i0)), where the
@@ -218,11 +234,11 @@ class TestEveAttackFull:
             3, 3, 10, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
         obs = run_full_round(primes, ch, CTX)
-        report = eve_attack_full(primes, obs, ch, CTX)
+        report = eve_attack_full(obs[0], primes, ch, CTX)
         deltas = [
             report.ratios[i] - (ch.c[i][0] if i != 0 else 0) for i in range(3)
         ]
         e_r = error_factor_from_deltas(primes, deltas, CTX)
         with CTX.local():
             rhs = report.psi_legit * abs(e_r)
-            assert abs(report.abs_discrepancy - rhs) / rhs < Decimal("1e-20")
+            assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")

@@ -203,42 +203,37 @@ class TestEveObserve:
 class TestCsi:
     def test_perfect(self):
         ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(4))
-        csi = estimate_csi(ch)
-        assert csi.h_hat == ch.h
+        assert estimate_csi(ch) == ch.h
 
     def test_relative_zero_is_perfect(self):
         ch = ideal_channel(3)
-        assert estimate_csi(ch, "relative", 0.0).h_hat == ch.h
+        assert estimate_csi(ch, 0.0, random.Random(0)) == ch.h
 
     def test_relative_error_bounded(self):
         rng = random.Random(10)
         worst = 0.0
         for _ in range(200):
             ch = draw_channel(5, FadingModel.rayleigh(1), 1, 0, rng)
-            csi = estimate_csi(ch, "relative", 0.01, rng)
+            h_hat = estimate_csi(ch, 0.01, rng)
             for i in range(5):
                 for j in range(5):
                     if i != j:
-                        dev = abs(csi.h_hat[i][j] - ch.h[i][j]) / ch.h[i][j]
+                        dev = abs(h_hat[i][j] - ch.h[i][j]) / ch.h[i][j]
                         worst = max(worst, float(dev))
         assert 0 < worst <= 0.01
 
     def test_relative_error_below_float_resolution_is_exact(self):
         # 1 + 1e-40 is 1 in float: the estimate must stay a decimal product
         ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, random.Random(4))
-        csi = estimate_csi(ch, "relative", 1e-40, random.Random(5))
+        h_hat = estimate_csi(ch, 1e-40, random.Random(5))
         replay = random.Random(5)
         with localcontext(Context(prec=200)):
             for i in range(3):
                 for j in range(3):
                     if i != j:
                         e = Decimal(repr(replay.uniform(-1e-40, 1e-40)))
-                        assert csi.h_hat[i][j] != ch.h[i][j]
-                        assert csi.h_hat[i][j] == ch.h[i][j] * (1 + e)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_csi(ideal_channel(2), "additive")
+                        assert h_hat[i][j] != ch.h[i][j]
+                        assert h_hat[i][j] == ch.h[i][j] * (1 + e)
 
 
 def test_with_eve_taps_needs_one_per_user():

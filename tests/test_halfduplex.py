@@ -73,7 +73,7 @@ class TestRunRound:
             rng = random.Random(seed)
             primes, _ = sample_distinct_primes(3, 6, rng)
             ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng)
-            csi = estimate_csi(ch, "relative", 0.1, rng)
+            csi = estimate_csi(ch, 0.1, rng)
             # 24 digits: tolerance 1e-6
             record = run_round(0, primes, ch, csi, PrecisionContext(24))
             if record.failure is not None:

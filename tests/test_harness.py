@@ -48,6 +48,9 @@ class TestConfig:
             ("trials", 0),
             ("h_star", "-1"),
             ("noise_variance", "abc"),
+            ("noise_variance", "1e400"),  # infinite as a float
+            ("csi_error", 1.0),  # an estimate h * (1 + e) could be 0
+            ("csi_error", 1.5),
             ("seed", -1),
             ("eve_mode", "both"),
         ],
@@ -162,6 +165,29 @@ class TestStrongNoise:
                     assert r.failure == "not-a-prime-product"
                     small += 1
         assert small > 0
+
+    @pytest.mark.parametrize(
+        "protocol,noise", [(dict(protocol="hmac"), "1e14"), (FMAC, "1e16")]
+    )
+    def test_result_beyond_exponent_bound_fails_one_receiver(self, protocol, noise):
+        # noise this strong puts exp's result past arith.MAX_EXPONENT either
+        # way; seed 1 draws no noise sample between the bounds, where exp
+        # would carry hundreds of thousands of digits
+        c = cfg(**protocol, noise_variance=noise, eve=True, trials=2, seed=1)
+        seen = set()
+        for trial in range(c.trials):
+            row, t, _ = run_trial(c, trial)
+            for r in t.rounds:
+                if r.post_value.is_infinite():
+                    seen.add(r.failure)
+                    assert r.failure == "not-near-integer"
+                elif r.post_value == 0:
+                    seen.add(r.failure)
+                    assert r.failure == "not-a-prime-product"
+                assert r.recovered is None
+            json.loads(t.to_json())
+            assert Decimal(row["max_distance_to_integer"]) >= 0
+        assert seen == {"not-near-integer", "not-a-prime-product"}
 
 
 class TestSweep:
