@@ -31,8 +31,8 @@ from .errors import (
     NonPositiveInput,
     Overflow,
 )
-from .fullduplex import run_full_round, run_protocol_fmac
-from .halfduplex import pre_process, receive, run_protocol_hmac, run_round
+from .fullduplex import run_protocol_fmac
+from .halfduplex import pre_process, receive, run_protocol_hmac
 from .harness import ExperimentConfig, run_experiment, run_trial, sweep
 from .integers import (
     Factorization,

@@ -11,12 +11,14 @@ vanishes only when every exponent ratio is exactly 1.
 Each attack runs the listener step of the legitimate receivers,
 :func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
 noise, and against the full-duplex exchange also its factor step
-:func:`airkey.fullduplex.factor`.  A reception rejected with
+:func:`airkey.fullduplex.factor`, sized on her quotients h_eve / h_star by
+:func:`airkey.halfduplex.sized_exchange`.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
 means she did not recover the key.  One scoring step compares her
 reception with the legitimate receiver's: the gap is
 ``|psi_legit - eve.post_value|`` and the error factor
-``1 - eve.post_value / psi_legit``.
+``1 - eve.post_value / psi_legit``.  A value or power past
+``arith.MAX_EXPONENT`` shares no digit.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from decimal import Decimal
 
 from .arith import BigReal, PrecisionContext, exp, leading_digit_overlap, ln
 from .channel import ChannelState
-from .fullduplex import factor, sized_exchange
-from .halfduplex import pre_process, receive
+from .errors import Overflow
+from .fullduplex import factor
+from .halfduplex import pre_process, receive, sized_exchange
 from .integers import PrimeInput
 from .transcript import Reception
 
@@ -73,9 +76,14 @@ def _score(eve, psi_legit, ratios, factors, key_equal, ctx) -> EveReport:
     """
     per_factor = []
     for p, e, r in factors:
-        with ctx.local():
-            power = exp(r * ln(p, ctx), ctx)
-        per_factor.append(leading_digit_overlap(p**e, power))
+        try:
+            with ctx.local():
+                power = exp(r * ln(p, ctx), ctx)
+        except Overflow:
+            # past MAX_EXPONENT a power shares no digit with p**e, as in receive
+            per_factor.append(0)
+        else:
+            per_factor.append(leading_digit_overlap(p**e, power))
     # a value recorded as 0 or infinite (receive) shares no digit
     values = (psi_legit, eve.post_value)
     carried = all(v.is_finite() and v > 0 for v in values)
@@ -141,7 +149,7 @@ def eve_attack_full(
     with ctx.local():
         ratios = [+(h / ch.h_star) for h in ch.h_eve]
     work = sized_exchange(primes, [ratios], ctx)
-    signals = [pre_process(p, ch.h_star, work) for p in primes]
+    signals = [pre_process(ln(p.value, work), ch.h_star, work) for p in primes]
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
     j = record.receiver
     factors = [

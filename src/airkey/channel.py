@@ -22,14 +22,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import Inexact, InvalidOperation
 
 from .arith import BigReal, to_bigreal
 from .errors import NonPositiveGain
 
 # Products and sums of finite decimals are finite decimals: with unbounded
-# precision they never round, and Inexact is trapped should one ever try.
-_EXACT = Context(prec=MAX_PREC, traps=[Inexact, InvalidOperation])
+# precision and exponents they never round, and Inexact is trapped if one does.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation]
+)
 
 
 @dataclass(frozen=True)

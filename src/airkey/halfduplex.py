@@ -15,12 +15,13 @@ reception is recorded, never raised, with one of the reason codes
 ``not-a-prime-product`` (an integer below 2); the full-duplex factor step
 adds ``factor-bound-exceeded``.
 
-Precision follows the one rule of :mod:`airkey.arith`.  Every round of a
-run is carried at ``ctx.sized(m)``, ``max(digits, m + T + 2 * GUARD)``
-digits, where ``m`` is the number of integer digits of the worst receiver's
-product (every prime but the smallest), so each prime's log is taken once
-per run.  The tolerance stays ``ctx.tolerance = 10**-T``.  Signals are
-divided at ``ctx.local()`` precision, ``digits + GUARD``.
+Precision follows the one rule of :mod:`airkey.arith`.  Every exchange,
+of either scheme, is sized once by :func:`sized_exchange`: it is carried at
+``max(digits, m + T + 2 * GUARD)`` digits, where ``m`` is the number of
+integer digits of the largest product any of its listeners hears, so each
+prime's log is taken once per run.  The tolerance stays
+``ctx.tolerance = 10**-T``.  Signals are divided at ``ctx.local()``
+precision, ``digits + GUARD``.
 """
 
 from __future__ import annotations
@@ -36,26 +37,34 @@ from .integers import PrimeInput
 from .transcript import ProtocolTranscript, Reception
 
 
-def pre_process(
-    p: PrimeInput,
-    gain: BigReal,
-    ctx: PrecisionContext,
-    logs: dict[tuple[int, int], BigReal] | None = None,
-) -> BigReal:
-    """Transmit signal for one user: ln(p) divided by a gain.
+def pre_process(log_p: BigReal, gain: BigReal, ctx: PrecisionContext) -> BigReal:
+    """Transmit signal for one user: its prime's log divided by a gain.
 
     The half-duplex scheme divides by the estimated gain toward the
     listener, the full-duplex scheme by the public reference gain h*.
-    ``logs`` memoizes ln(p) by (prime, digits) across the calls of one run.
     """
     if gain <= 0:
         raise NonPositiveGain(f"gain must be positive, got {gain}")
-    logs = {} if logs is None else logs
-    key = (p.value, ctx.digits)
-    if key not in logs:
-        logs[key] = ln(p.value, ctx)
     with ctx.local():
-        return logs[key] / gain
+        return log_p / gain
+
+
+def sized_exchange(primes: list[PrimeInput], columns, ctx: PrecisionContext):
+    """``ctx`` sized for the largest product prod p_i ** e_i of one exchange.
+
+    ``columns`` holds one exponent column per listener: 0 or 1 per user for
+    an hmac round, a column of ``ch.c`` for a full-duplex receiver, the
+    quotients h_eve[i] / h_star for the eavesdropper.  A product whose
+    decimal exponent is beyond ``arith.MAX_EXPONENT`` or not finite raises
+    Overflow before any log is taken.
+    """
+    log10s = [math.log10(p.value) for p in primes]
+    magnitude = max(
+        sum(float(e) * d for d, e in zip(log10s, column)) for column in columns
+    )
+    if not math.isfinite(magnitude):
+        raise Overflow(f"product magnitude {magnitude} is not finite")
+    return ctx.sized(int(magnitude) + 1)
 
 
 def receive(
@@ -102,35 +111,6 @@ def receive(
     )
 
 
-def run_round(
-    j: int,
-    primes: list[PrimeInput],
-    ch: ChannelState,
-    h_hat,
-    ctx: PrecisionContext,
-    rng: random.Random | None = None,
-    logs: dict[tuple[int, int], BigReal] | None = None,
-) -> Reception:
-    """Execute the round in which user ``j`` listens.
-
-    ``h_hat`` is the transmitters' gain estimate matrix
-    (:func:`airkey.channel.estimate_csi`).  ``logs`` is passed on to
-    :func:`pre_process`.  A failed recovery is recorded in the returned
-    reception, not raised.
-    """
-    # the worst receiver hears every prime but the smallest
-    log10s = sorted(math.log10(p.value) for p in primes)
-    work = ctx.sized(int(sum(log10s[1:])) + 1)
-    signals = [
-        None if i == j else pre_process(primes[i], h_hat[i][j], work, logs)
-        for i in range(ch.n_users)
-    ]
-    return receive(
-        j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
-        ch.noise_variance, rng,
-    )
-
-
 def run_protocol_hmac(
     primes: list[PrimeInput],
     ch: ChannelState,
@@ -147,15 +127,17 @@ def run_protocol_hmac(
     n = ch.n_users
     if len(primes) != n:
         raise ValueError("need one prime per user")
-    logs: dict[tuple[int, int], BigReal] = {}
-    rounds = [run_round(j, primes, ch, h_hat, ctx, rng=rng, logs=logs) for j in range(n)]
-    return ProtocolTranscript(
-        protocol="hmac",
-        n_users=n,
-        rounds_used=n,
-        rounds=rounds,
-        per_user_secret=[
-            None if r.recovered is None else p.value * r.recovered
-            for p, r in zip(primes, rounds)
-        ],
-    )
+    # in round j every user but j transmits
+    work = sized_exchange(primes, [[i != j for i in range(n)] for j in range(n)], ctx)
+    logs = [ln(p.value, work) for p in primes]
+    rounds = []
+    for j in range(n):
+        signals = [
+            None if i == j else pre_process(logs[i], h_hat[i][j], work)
+            for i in range(n)
+        ]
+        rounds.append(receive(
+            j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
+            ch.noise_variance, rng,
+        ))
+    return ProtocolTranscript.of("hmac", n, primes, rounds)

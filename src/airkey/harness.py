@@ -38,6 +38,15 @@ METRICS_COLUMNS = [
     "max_distance_to_integer",
 ]
 
+SWEEP_COLUMNS = [
+    "axis",
+    "value",
+    "agreement_rate",
+    "failure_rate",
+    "eve_success_rate",
+    "rounds_used",
+]
+
 SWEEPABLE_FIELDS = (
     "n_users",
     "prime_digits",
@@ -112,7 +121,10 @@ class ExperimentConfig:
         if self.c_max < 1:
             problems["c_max"] = "must be >= 1"
         try:
-            if Decimal(self.h_star) <= 0:
+            h_star = Decimal(self.h_star)
+            if not h_star.is_finite():
+                problems["h_star"] = f"must be finite, got {self.h_star!r}"
+            elif h_star <= 0:
                 problems["h_star"] = "must be positive"
         except ArithmeticError:
             problems["h_star"] = f"not a decimal: {self.h_star!r}"
@@ -310,30 +322,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
             sub_out = str(Path(base_out) / f"{axis}_{coerced}")
         point = replace(cfg, **{axis: coerced, "out_dir": sub_out}).validate()
         summary = run_experiment(point)
-        table.append(
-            {
-                "axis": axis,
-                "value": coerced,
-                "agreement_rate": summary["agreement_rate"],
-                "failure_rate": summary["failure_rate"],
-                "eve_success_rate": summary["eve_success_rate"],
-                "rounds_used": summary["rounds_used"],
-            }
-        )
+        row = {"axis": axis, "value": coerced, **summary}
+        table.append({k: row[k] for k in SWEEP_COLUMNS})
     if base_out is not None:
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=[
-                "axis",
-                "value",
-                "agreement_rate",
-                "failure_rate",
-                "eve_success_rate",
-                "rounds_used",
-            ],
-            lineterminator="\n",
-        )
+        writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(table)
         Path(base_out).mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .arith import BigReal
-from .integers import Factorization
+from .integers import Factorization, PrimeInput
 
 
 @dataclass
@@ -54,10 +54,20 @@ class ProtocolTranscript:
     """
 
     protocol: str
-    n_users: int
     rounds_used: int
     rounds: list[Reception]
     per_user_secret: list
+
+    @classmethod
+    def of(cls, protocol: str, rounds_used: int, primes: list[PrimeInput], rounds):
+        """The transcript of ``rounds``, one per user in the order of ``primes``.
+
+        A user's secret is its own prime times the product it recovered.
+        """
+        return cls(protocol, rounds_used, rounds, [
+            None if r.recovered is None else p.value * r.recovered
+            for p, r in zip(primes, rounds)
+        ])
 
     def agreed_secret(self):
         """The common secret if every user recovered the same one, else None."""
@@ -69,7 +79,7 @@ class ProtocolTranscript:
     def to_json(self) -> str:
         doc = {
             "protocol": self.protocol,
-            "n_users": self.n_users,
+            "n_users": len(self.rounds),
             "rounds_used": self.rounds_used,
             "per_user_secret": [
                 str(s) if s is not None else None for s in self.per_user_secret

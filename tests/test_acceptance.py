@@ -28,7 +28,7 @@ from airkey import (
     ln,
     run_experiment,
     run_protocol_fmac,
-    run_round,
+    run_protocol_hmac,
     sample_distinct_primes,
     sample_prime,
 )
@@ -211,8 +211,7 @@ def test_criterion_5_trailing_digit_security(capsys):
             ]
         )
         csi = estimate_csi(ch)
-        r0 = run_round(0, primes, ch, csi, ctx)
-        r1 = run_round(1, primes, ch, csi, ctx)
+        r0, r1 = run_protocol_hmac(primes, ch, csi, ctx).rounds[:2]
         report = eve_attack_half(r0, primes, ch, ctx, second_record=r1)
         if report.key_equal:
             key_hits += 1

@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from airkey import halfduplex
+from airkey import adversary
 from airkey import (
     FadingModel,
     Overflow,
@@ -18,8 +18,8 @@ from airkey import (
     leading_digit_overlap,
     ln,
     rayleigh_taps,
-    run_full_round,
-    run_round,
+    run_protocol_fmac,
+    run_protocol_hmac,
     sample_distinct_primes,
 )
 
@@ -87,7 +87,7 @@ class TestEveAttackHalf:
         primes, ch, csi = hmac_setup(
             3, 5, taps=lambda ch, rng: [ch.h[i][0] for i in range(3)]
         )
-        record = run_round(0, primes, ch, csi, CTX)
+        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
         report = eve_attack_half(record, primes, ch, CTX)
         assert all(abs(r - 1) < Decimal("1e-100") for r in report.ratios)
         with CTX.local():
@@ -100,7 +100,7 @@ class TestEveAttackHalf:
         primes = [PrimeInput(100003, 6), PrimeInput(100019, 6)]
         ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         ch = ch.with_eve_taps([Decimal("1.001001"), Decimal("1.001001")])
-        record = run_round(1, primes, ch, estimate_csi(ch), CTX)
+        record = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX).rounds[1]
         report = eve_attack_half(record, primes, ch, CTX)
         with CTX.local():
             want = exp(Decimal("1.001001") * ln(100003, CTX), CTX)
@@ -117,7 +117,7 @@ class TestEveAttackHalf:
                     for i in range(5)
                 ],
             )
-            record = run_round(0, primes, ch, csi, CTX)
+            record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
             report = eve_attack_half(record, primes, ch, CTX)
             assert gap(report) > 0
             assert not report.key_equal
@@ -126,12 +126,24 @@ class TestEveAttackHalf:
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - 1)) over the
         # transmitters, the listener's own prime excluded
         primes, ch, csi = hmac_setup(4, 6, taps=lambda ch, rng: rayleigh_taps(4, 1, rng))
-        record = run_round(0, primes, ch, csi, CTX)
+        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
         report = eve_attack_half(record, primes, ch, CTX)
         e_r = error_factor_from_deltas(primes[1:], [r - 1 for r in report.ratios], CTX)
         with CTX.local():
             rhs = report.psi_legit * abs(e_r)
             assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")
+
+    def test_powers_past_exponent_bound_share_no_digit(self):
+        # ratios near 10**7 raise 6-digit primes past MAX_EXPONENT: scored as
+        # sharing no digit, as her own reception is recorded, not raised
+        primes, ch, csi = hmac_setup(
+            3, 1, taps=lambda ch, rng: rayleigh_taps(3, 10**7, rng)
+        )
+        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
+        report = eve_attack_half(record, primes, ch, CTX)
+        assert report.eve.post_value.is_infinite()
+        assert report.per_factor_overlap == [0, 0]
+        assert report.digit_overlap == 0
 
     def test_two_round_interception_on_transparent_channel(self):
         # ideal gains and matched taps: Eve recombines two rounds exactly
@@ -139,8 +151,7 @@ class TestEveAttackHalf:
         primes, _ = sample_distinct_primes(3, 6, rng)
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, rng)
         csi = estimate_csi(ch)
-        r0 = run_round(0, primes, ch, csi, CTX)
-        r1 = run_round(1, primes, ch, csi, CTX)
+        r0, r1 = run_protocol_hmac(primes, ch, csi, CTX).rounds[:2]
         report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
         assert report.key_equal
 
@@ -148,8 +159,7 @@ class TestEveAttackHalf:
         primes, ch, csi = hmac_setup(
             3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
-        r0 = run_round(0, primes, ch, csi, CTX)
-        r1 = run_round(1, primes, ch, csi, CTX)
+        r0, r1 = run_protocol_hmac(primes, ch, csi, CTX).rounds[:2]
         report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
         assert not report.key_equal
 
@@ -160,7 +170,7 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 9, taps=lambda ch, rng: [2 * ch.h_star for _ in range(3)]
         )
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         report = eve_attack_full(obs[0], primes, ch, CTX)
         assert report.key_equal
         assert all(r == 2 for r in report.ratios)
@@ -170,7 +180,7 @@ class TestEveAttackFull:
             primes, ch = fmac_setup(
                 4, 4, seed, taps=lambda ch, rng: rayleigh_taps(4, 1, rng)
             )
-            obs = run_full_round(primes, ch, CTX)
+            obs = run_protocol_fmac(primes, ch, CTX).rounds
             report = eve_attack_full(obs[0], primes, ch, CTX)
             assert not report.key_equal
             assert gap(report) > 0
@@ -184,7 +194,7 @@ class TestEveAttackFull:
         h = ((Decimal(0), Decimal(2)), (Decimal(2), Decimal(0)))
         ch = replace(ch, h=h, c=((0, 2), (2, 0)))
         ch = ch.with_eve_taps([Decimal("2.001"), Decimal("1.999")])
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         report = eve_attack_full(obs[0], primes, ch, CTX)
         with CTX.local():
             want = exp(
@@ -199,12 +209,12 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 12, taps=lambda ch, rng: [10**6 * ch.h_star for _ in range(3)]
         )
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
 
         def no_ln(x, ctx):
             raise AssertionError(f"ln taken at {ctx.digits} digits")
 
-        monkeypatch.setattr(halfduplex, "ln", no_ln)
+        monkeypatch.setattr(adversary, "ln", no_ln)
         with pytest.raises(Overflow):
             eve_attack_full(obs[0], primes, ch, CTX)
 
@@ -212,7 +222,7 @@ class TestEveAttackFull:
         # h_star = 1e-400 is 0 as a float; Eve's quotients h_eve / h_star
         # are exact decimals, so matched integer taps still give her c
         primes, ch = fmac_setup(3, 3, 13, h_star=Decimal("1e-400"))
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         report = eve_attack_full(obs[0], primes, ch, CTX)
         assert all(r == int(r) for r in report.ratios)
         assert report.key_equal
@@ -223,7 +233,7 @@ class TestEveAttackFull:
             3, 3, 14, taps=lambda ch, rng: rayleigh_taps(3, 1, rng),
             h_star=Decimal("1e-400"),
         )
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         with pytest.raises(Overflow):
             eve_attack_full(obs[0], primes, ch, CTX)
 
@@ -233,7 +243,7 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 10, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         report = eve_attack_full(obs[0], primes, ch, CTX)
         deltas = [
             report.ratios[i] - (ch.c[i][0] if i != 0 else 0) for i in range(3)

@@ -83,6 +83,15 @@ class TestDrawChannel:
                         assert ch.h[i][j] == ch.c[i][j] * h_star
             assert all(t / h_star in {1, 2, 3, 4, 5} for t in ch.h_eve)
 
+    def test_integer_gains_exact_for_huge_h_star(self):
+        # an exponent beyond the default context's Emax
+        h_star = Decimal("1e1000000")
+        ch = draw_channel(3, FadingModel.integer(4), h_star, 0, random.Random(5))
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    assert ch.h[i][j] == Decimal(f"{ch.c[i][j]}e1000000")
+
     def test_rayleigh_gains_are_float_decimals(self):
         ch = draw_channel(5, FadingModel.rayleigh(2), 1, 0, random.Random(11))
         gains = [ch.h[i][j] for i in range(5) for j in range(5) if i != j]

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from airkey import halfduplex
+from airkey import fullduplex
 from airkey import (
     DuplicatePrimeDetected,
     FadingModel,
@@ -15,7 +15,6 @@ from airkey import (
     draw_channel,
     ln,
     pre_process,
-    run_full_round,
     run_protocol_fmac,
     sample_distinct_primes,
 )
@@ -41,17 +40,9 @@ def forced_c_channel(primes_n, c):
 
 
 class TestPreProcess:
-    def test_unit_reference(self):
-        assert pre_process(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
-
-    def test_half_reference_doubles(self):
-        got = pre_process(PrimeInput(3, 1), Decimal("0.5"), CTX)
-        with CTX.local():
-            assert abs(got - 2 * ln(3, CTX)) < Decimal("1e-60")
-
     def test_gain_three_cubes(self):
         # gain 3 on a ln(5)/1 signal lands on ln(125)
-        sig = pre_process(PrimeInput(5, 1), Decimal(1), CTX)
+        sig = pre_process(ln(5, CTX), Decimal(1), CTX)
         with CTX.local():
             assert abs(3 * sig - ln(125, CTX)) < Decimal("1e-60")
 
@@ -60,14 +51,14 @@ class TestRunFullRound:
     def test_two_users_c_two(self):
         primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
         ch = forced_c_channel(2, 2)
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         assert obs[1].exponent_map.factors == ((3, 2),)
         assert round(obs[1].post_value) == 9
         assert obs[0].exponent_map.factors == ((5, 2),)
 
     def test_three_users_all_c_one(self):
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
-        obs = run_full_round(primes, forced_c_channel(3, 1), CTX)
+        obs = run_protocol_fmac(primes, forced_c_channel(3, 1), CTX).rounds
         assert obs[0].exponent_map.factors == ((3, 1), (5, 1))
         assert obs[0].recovered == 15
 
@@ -75,25 +66,25 @@ class TestRunFullRound:
         rng = random.Random(9)
         primes, _ = sample_distinct_primes(3, 4, rng)
         ch = integer_channel(3, 4, 9)
-        obs = run_full_round(primes, ch, CTX)
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
         for j in range(3):
             want = {primes[i].value: ch.c[i][j] for i in range(3) if i != j}
             assert dict(obs[j].exponent_map.factors) == want
 
     def test_own_prime_never_in_map(self):
         primes, _ = sample_distinct_primes(5, 4, random.Random(10))
-        obs = run_full_round(primes, integer_channel(5, 3, 10), CTX)
+        obs = run_protocol_fmac(primes, integer_channel(5, 3, 10), CTX).rounds
         for j in range(5):
             assert primes[j].value not in obs[j].exponent_map.primes()
 
     def test_requires_integer_channel(self):
         ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(0))
         with pytest.raises(ValueError):
-            run_full_round([PrimeInput(2, 1), PrimeInput(3, 1)], ch, CTX)
+            run_protocol_fmac([PrimeInput(2, 1), PrimeInput(3, 1)], ch, CTX)
 
     def test_duplicate_primes_rejected(self):
         with pytest.raises(DuplicatePrimeDetected):
-            run_full_round(
+            run_protocol_fmac(
                 [PrimeInput(3, 1), PrimeInput(3, 1)], forced_c_channel(2, 1), CTX
             )
 
@@ -103,10 +94,10 @@ class TestRunFullRound:
         def no_ln(x, ctx):
             raise AssertionError(f"ln taken at {ctx.digits} digits")
 
-        monkeypatch.setattr(halfduplex, "ln", no_ln)
+        monkeypatch.setattr(fullduplex, "ln", no_ln)
         primes, _ = sample_distinct_primes(3, 6, random.Random(0))
         with pytest.raises(Overflow):
-            run_full_round(primes, forced_c_channel(3, 300_000), CTX)
+            run_protocol_fmac(primes, forced_c_channel(3, 300_000), CTX)
 
 
 class TestRecoverSecret:

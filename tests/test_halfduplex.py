@@ -13,8 +13,8 @@ from airkey import (
     estimate_csi,
     ln,
     pre_process,
+    run_protocol_fmac,
     run_protocol_hmac,
-    run_round,
     sample_distinct_primes,
 )
 
@@ -31,37 +31,37 @@ def make_setup(n, model, seed, digits=6, noise="0"):
 
 class TestPreProcess:
     def test_unit_gain(self):
-        assert pre_process(PrimeInput(2, 1), Decimal(1), CTX) == ln(2, CTX)
+        assert pre_process(ln(2, CTX), Decimal(1), CTX) == ln(2, CTX)
 
     def test_half_gain_doubles(self):
-        got = pre_process(PrimeInput(3, 1), Decimal("0.5"), CTX)
+        got = pre_process(ln(3, CTX), Decimal("0.5"), CTX)
         with CTX.local():
             assert abs(got - 2 * ln(3, CTX)) < Decimal("1e-60")
 
     def test_gain_cancellation(self):
         # transmitting through the very gain used for inversion restores ln p
         h = Decimal("1.73205")
-        sig = pre_process(PrimeInput(7, 1), h, CTX)
+        sig = pre_process(ln(7, CTX), h, CTX)
         with CTX.local():
             assert abs(h * sig - ln(7, CTX)) < Decimal("1e-60")
 
     def test_rejects_non_positive_gain(self):
         with pytest.raises(NonPositiveGain):
-            pre_process(PrimeInput(2, 1), Decimal(0), CTX)
+            pre_process(ln(2, CTX), Decimal(0), CTX)
 
 
 class TestRunRound:
     def test_ideal_three_users(self):
         primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
-        record = run_round(0, primes, ch, estimate_csi(ch), CTX)
+        record = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX).rounds[0]
         assert record.recovered == 15
         assert record.receiver == 0
         assert record.signals[0] is None and None not in record.signals[1:]
 
     def test_fading_cancels_under_perfect_csi(self):
         primes, ch, csi, _ = make_setup(2, FadingModel.rayleigh(1), 1)
-        record = run_round(1, primes, ch, csi, CTX)
+        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[1]
         assert record.recovered == primes[0].value
 
     def test_csi_error_causes_recovery_failures(self):
@@ -75,7 +75,7 @@ class TestRunRound:
             ch = draw_channel(3, FadingModel.rayleigh(1), 1, 0, rng)
             csi = estimate_csi(ch, 0.1, rng)
             # 24 digits: tolerance 1e-6
-            record = run_round(0, primes, ch, csi, PrecisionContext(24))
+            record = run_protocol_hmac(primes, ch, csi, PrecisionContext(24)).rounds[0]
             if record.failure is not None:
                 assert record.failure == "not-near-integer"
                 assert record.recovered is None
@@ -85,10 +85,10 @@ class TestRunRound:
     def test_receivers_own_prime_is_irrelevant(self):
         # swap the listener's prime for a sentinel: round unchanged
         primes, ch, csi, _ = make_setup(4, FadingModel.rayleigh(1), 2)
-        before = run_round(0, primes, ch, csi, CTX)
+        before = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
         sentinel = primes[:]
         sentinel[0] = PrimeInput(999983, 6)
-        after = run_round(0, sentinel, ch, csi, CTX)
+        after = run_protocol_hmac(sentinel, ch, csi, CTX).rounds[0]
         assert before.recovered == after.recovered
 
 
@@ -140,8 +140,8 @@ class TestProtocol:
         assert t.agreed_secret() == t2.agreed_secret()
 
     def test_one_log_per_prime_per_run(self, monkeypatch):
-        # every round carries the worst receiver's digits, so the log memo
-        # takes each prime's log exactly once
+        # every round carries the worst receiver's digits, so each prime's
+        # log is taken exactly once
         import airkey.halfduplex as halfduplex
 
         calls = []
@@ -156,6 +156,23 @@ class TestProtocol:
         # sizing each round for itself would take two logs of most primes
         primes, ch, csi, _ = make_setup(16, FadingModel.rayleigh(1), 4)
         t = run_protocol_hmac(primes, ch, csi, ctx)
+        assert t.agreed_secret() == math.prod(p.value for p in primes)
+        assert sorted(calls) == sorted(p.value for p in primes)
+
+    def test_one_log_per_prime_per_fmac_exchange(self, monkeypatch):
+        import airkey.fullduplex as fullduplex
+
+        calls = []
+
+        def counting_ln(x, ctx):
+            calls.append(x)
+            return ln(x, ctx)
+
+        monkeypatch.setattr(fullduplex, "ln", counting_ln)
+        rng = random.Random(13)
+        primes, _ = sample_distinct_primes(12, 5, rng)
+        ch = draw_channel(12, FadingModel.integer(8), 1, 0, rng)
+        t = run_protocol_fmac(primes, ch, PrecisionContext(256))
         assert t.agreed_secret() == math.prod(p.value for p in primes)
         assert sorted(calls) == sorted(p.value for p in primes)
 

@@ -47,6 +47,7 @@ class TestConfig:
             ("n_users", 1),
             ("trials", 0),
             ("h_star", "-1"),
+            ("h_star", "Infinity"),
             ("noise_variance", "abc"),
             ("noise_variance", "1e400"),  # infinite as a float
             ("csi_error", 1.0),  # an estimate h * (1 + e) could be 0

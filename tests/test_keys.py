@@ -46,7 +46,7 @@ class TestDeriveKey:
 
 def agreed(secrets):
     n = len(secrets)
-    return ProtocolTranscript("hmac", n, n, [], secrets).agreed_secret()
+    return ProtocolTranscript("hmac", n, [], secrets).agreed_secret()
 
 
 class TestGroupAgreement:
