@@ -11,8 +11,10 @@ vanishes only when every exponent ratio is exactly 1.
 Each attack runs the listener step of the legitimate receivers,
 :func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
 noise, and against the full-duplex exchange also its factor step
-:func:`airkey.fullduplex.factor`, sized on her quotients h_eve / h_star by
-:func:`airkey.halfduplex.sized_exchange`.  A reception rejected with
+:func:`airkey.fullduplex.factor`.  Her reception, and each prime raised to
+her ratio, is sized like any exchange by
+:func:`airkey.halfduplex.sized_exchange`, on the ratios her primes reach
+her with.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
 means she did not recover the key.  One scoring step compares her
 reception with the legitimate receiver's: the gap is
@@ -77,13 +79,14 @@ def _score(eve, psi_legit, ratios, factors, key_equal, ctx) -> EveReport:
     per_factor = []
     for p, e, r in factors:
         try:
-            with ctx.local():
-                power = exp(r * ln(p, ctx), ctx)
+            work = sized_exchange([p], [[r]], ctx)
+            with work.local():
+                power = exp(r * ln(p.value, work), work)
         except Overflow:
             # past MAX_EXPONENT a power shares no digit with p**e, as in receive
             per_factor.append(0)
         else:
-            per_factor.append(leading_digit_overlap(p**e, power))
+            per_factor.append(leading_digit_overlap(p.value**e, power))
     # a value recorded as 0 or infinite (receive) shares no digit
     values = (psi_legit, eve.post_value)
     carried = all(v.is_finite() and v > 0 for v in values)
@@ -110,9 +113,9 @@ def eve_attack_half(
     listener's prime never flew), so ``key_equal`` can only hold in the
     two-round interception mode: given the rounds of two different
     listeners she receives both and, if both are accepted, recombines them
-    via their least common multiple.
+    via their least common multiple; both rounds are received at the
+    context sized for the first.
     """
-    eve = receive(None, record.signals, ch.h_eve, ctx, ctx.tolerance)
     transmitters = [i for i, s in enumerate(record.signals) if s is not None]
     with ctx.local():
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
@@ -120,13 +123,18 @@ def eve_attack_half(
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
             for i in transmitters
         ]
+    try:
+        work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
+    except Overflow:
+        work = ctx  # receive records a value past MAX_EXPONENT as infinite
+    eve = receive(None, record.signals, ch.h_eve, work, ctx.tolerance)
     key_equal = False
     if second_record is not None and eve.recovered is not None:
-        second = receive(None, second_record.signals, ch.h_eve, ctx, ctx.tolerance)
+        second = receive(None, second_record.signals, ch.h_eve, work, ctx.tolerance)
         key_equal = second.recovered is not None and math.lcm(
             eve.recovered, second.recovered
         ) == math.prod(p.value for p in primes)
-    factors = [(primes[i].value, 1, r) for i, r in zip(transmitters, ratios)]
+    factors = [(primes[i], 1, r) for i, r in zip(transmitters, ratios)]
     return _score(eve, record.post_value, ratios, factors, key_equal, ctx)
 
 
@@ -153,7 +161,7 @@ def eve_attack_full(
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
     j = record.receiver
     factors = [
-        (p.value, ch.c[i][j], ratios[i]) for i, p in enumerate(primes) if i != j
+        (p, ch.c[i][j], ratios[i]) for i, p in enumerate(primes) if i != j
     ]
     key_equal = eve.recovered == math.prod(p.value for p in primes)
     return _score(eve, record.post_value, ratios, factors, key_equal, ctx)

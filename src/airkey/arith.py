@@ -10,18 +10,18 @@ One rule decides how many digits to carry.  A :class:`PrecisionContext` of
 accepted as an integer when it lies within ``10**-T`` of one.  A value whose
 result has ``m`` integer digits is carried at
 
-    digits_for(m) = max(digits, m + T + 2 * GUARD)
+    max(digits, m + T + 2 * GUARD)
 
 digits, so at least its integer part and ``T + 2 * GUARD`` fractional
-digits are resolved.  A protocol applies the rule once to its worst receiver
-with :meth:`PrecisionContext.sized`, so the logs it takes carry every digit
-the product needs.  ``exp`` applies it only when its result's integer part
-does not fit with ``GUARD`` digits to spare (decimal exponent + GUARD >
-digits), so ``exp`` on a sized context adds no digits.  The rule raises
-:class:`Overflow` for a result whose decimal exponent lies beyond
-``MAX_EXPONENT`` either way, before any digit is computed.  Ambient
-``+``/``*``/``/`` run at ``digits + GUARD`` (:meth:`PrecisionContext.local`)
-so sums of logs keep their digits.
+digits are resolved.  :meth:`PrecisionContext.sized` applies the rule, and
+only the one sizing step of every exchange,
+:func:`airkey.halfduplex.sized_exchange`, calls it, so the logs a protocol
+takes carry every digit the product needs.  ``ln`` and ``exp`` are pure
+kernels: they round to ``ctx.digits`` and never choose a precision.  The
+rule raises :class:`Overflow` for a result whose decimal exponent lies
+beyond ``MAX_EXPONENT`` either way, and so does ``exp``, before any digit
+is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
+(:meth:`PrecisionContext.local`) so sums of logs keep their digits.
 
 ``ln`` and ``exp`` take and return Decimals but compute in binary fixed
 point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
@@ -91,27 +91,18 @@ class PrecisionContext:
         """
         return Decimal(1).scaleb(-(self.digits // 4))
 
-    def digits_for(self, m: int) -> int:
-        """Digits to carry for a result with ``m`` integer digits.
+    def sized(self, m: int) -> "PrecisionContext":
+        """This context carrying ``max(digits, m + T + 2 * GUARD)`` digits.
 
-        Raises :class:`Overflow` when the result's decimal exponent ``m - 1``
-        lies beyond ``MAX_EXPONENT`` either way.
+        ``m`` is the number of integer digits of the result.  Exponentiating
+        amplifies any error in its argument by the size of the result, so
+        the log-domain inputs must already carry as many digits as the
+        product will have.  Raises :class:`Overflow` when the result's
+        decimal exponent ``m - 1`` lies beyond ``MAX_EXPONENT`` either way.
         """
         if abs(m - 1) > MAX_EXPONENT:
-            raise Overflow(
-                f"result exponent {m - 1} exceeds bound {MAX_EXPONENT}"
-            )
-        return max(self.digits, m + self.digits // 4 + 2 * GUARD)
-
-    def sized(self, m: int) -> "PrecisionContext":
-        """This context carrying ``digits_for(m)`` digits.
-
-        Exponentiating amplifies any error in its argument by the size of the
-        result, so the log-domain inputs must already carry as many digits as
-        the product will have.  Size the caller's context once and keep
-        reading the tolerance from the caller's context.
-        """
-        return PrecisionContext(self.digits_for(m))
+            raise Overflow(f"result exponent {m - 1} exceeds bound {MAX_EXPONENT}")
+        return PrecisionContext(max(self.digits, m + self.digits // 4 + 2 * GUARD))
 
     def local(self):
         """Run ambient Decimal arithmetic at ``digits + GUARD`` digits.
@@ -159,13 +150,13 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
 
 
 def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
-    """e**x, correctly rounded to the carried precision.
+    """e**x, correctly rounded to ``ctx.digits``.
 
     The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
-    result is inside the 2-ulp contract; ``exp(0)`` is exactly ``1``.  The
-    carried precision is ``ctx.digits`` unless the result's decimal exponent
-    plus GUARD exceeds it, and then ``ctx.digits_for(m)`` for a result of
-    ``m`` integer digits.  A result whose decimal exponent lies beyond
+    result is inside the 2-ulp contract; ``exp(0)`` is exactly ``1``.  It
+    carries ``ctx.digits`` whatever the result's size: a result with more
+    integer digits than that is rounded in its integer part, so callers
+    size ``ctx`` first.  A result whose decimal exponent lies beyond
     ``MAX_EXPONENT`` raises :class:`Overflow`.
     """
     x = to_bigreal(x)
@@ -175,13 +166,13 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
         raise Overflow(f"exp argument {x} is out of any representable range")
     approx = float(x)
     magnitude = math.floor(approx / _LN10)  # decimal exponent of the result
-    wide = ctx.digits_for(magnitude + 1)
-    carried = wide if magnitude + GUARD > ctx.digits else ctx.digits
+    if abs(magnitude) > MAX_EXPONENT:
+        raise Overflow(f"result exponent {magnitude} exceeds bound {MAX_EXPONENT}")
     if x.is_zero():
         return Decimal(1)
     # bits that x / ln 2 and the reduction's error take up: 2**nb >= 4 (|x| + 16)
     nb = (int(abs(approx)) + 16).bit_length() + 2
-    return _correctly_rounded(lambda w: _exp_kernel(x, nb, w), carried)
+    return _correctly_rounded(lambda w: _exp_kernel(x, nb, w), ctx.digits)
 
 
 # --- binary fixed-point kernel -------------------------------------------

@@ -14,7 +14,8 @@ shortest round-trip decimal, at most 17 significant digits.  Integer-mode
 gains c * h_star and relative CSI estimates h * (1 + e) are exact decimal
 products, never rounded, and so is an observation: the sum of gain times
 signal over the transmitters.  Precision is decided only where an
-observation is exponentiated, by the rule of :mod:`airkey.arith`.
+observation is exponentiated, by the one sizing step
+:func:`airkey.halfduplex.sized_exchange`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .errors import NonPositiveGain
 _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation]
 )
+# sqrt(-2 ln u) at the greatest and least uniform u = 1 - rng.random() below 1
+_RAYLEIGH_FACTORS = [math.sqrt(-2.0 * math.log(u)) for u in (1 - 2.0**-53, 2.0**-53)]
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class FadingModel:
     @classmethod
     def rayleigh(cls, scale) -> "FadingModel":
         scale = to_bigreal(scale)
-        if scale <= 0:
-            raise ValueError("rayleigh scale must be positive")
+        if not all(0 < float(scale) * f < math.inf for f in _RAYLEIGH_FACTORS):
+            raise ValueError("rayleigh scale must keep draws finite and positive")
         return cls("rayleigh", scale=scale)
 
     @classmethod
@@ -157,7 +160,7 @@ def draw_channel(
 def rayleigh_taps(n: int, scale, rng: random.Random) -> tuple[BigReal, ...]:
     """Continuous Rayleigh taps, e.g. for an eavesdropper of an integer-mode
     channel whose physical link is not integer-quantized."""
-    scale = to_bigreal(scale)
+    scale = FadingModel.rayleigh(scale).scale
     return tuple(_rayleigh_gain(scale, rng) for _ in range(n))
 
 

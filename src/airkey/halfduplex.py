@@ -15,13 +15,15 @@ reception is recorded, never raised, with one of the reason codes
 ``not-a-prime-product`` (an integer below 2); the full-duplex factor step
 adds ``factor-bound-exceeded``.
 
-Precision follows the one rule of :mod:`airkey.arith`.  Every exchange,
-of either scheme, is sized once by :func:`sized_exchange`: it is carried at
+Precision follows the one rule of :mod:`airkey.arith`, applied in one
+place.  Every exchange, of either scheme, and every eavesdropper reception
+is sized once by :func:`sized_exchange`: it is carried at
 ``max(digits, m + T + 2 * GUARD)`` digits, where ``m`` is the number of
 integer digits of the largest product any of its listeners hears, so each
-prime's log is taken once per run.  The tolerance stays
-``ctx.tolerance = 10**-T``.  Signals are divided at ``ctx.local()``
-precision, ``digits + GUARD``.
+prime's log is taken once per run.  ``exp`` never widens, so
+:func:`receive` rejects a value whose integer part its context cannot
+resolve to the tolerance.  The tolerance stays ``ctx.tolerance = 10**-T``.
+Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import random
 from decimal import Decimal
 
-from .arith import BigReal, PrecisionContext, exp, ln, nearest_integer
+from .arith import GUARD, BigReal, PrecisionContext, exp, ln, nearest_integer
 from .channel import ChannelState, superpose
 from .errors import NonPositiveGain, Overflow
 from .integers import PrimeInput
@@ -82,14 +84,19 @@ def receive(
     gains from each user and ``work`` the sized context the signals were
     made at.  The nearest integer is accepted when it lies within ``tol``
     and is at least 2, the least product of primes; otherwise the record
-    carries ``recovered`` None and the reason code.  A value whose decimal
-    exponent is beyond ``arith.MAX_EXPONENT``, as strong noise can make it,
-    is recorded as infinite (``not-near-integer``) or as 0
-    (``not-a-prime-product``).
+    carries ``recovered`` None and the reason code.  A value with more
+    integer digits than ``work.digits - T - GUARD`` (``tol = 10**-T``) is
+    not resolved to the tolerance, so it is recorded as infinite
+    (``not-near-integer``) without calling ``exp``; a sized exchange leaves
+    every valid product GUARD digits below that, so none gets there.
+    A value whose decimal exponent is below ``-arith.MAX_EXPONENT`` is
+    recorded as 0 (``not-a-prime-product``).
     """
     observation = superpose(signals, taps, noise_variance, rng)
+    resolved = work.digits + tol.adjusted() - GUARD  # integer digits
+    unresolved = float(observation) >= resolved * math.log(10)
     try:
-        post_value = exp(observation, work)
+        post_value = Decimal("Infinity") if unresolved else exp(observation, work)
     except Overflow:
         post_value = Decimal("Infinity" if observation > 0 else 0)
     nearest, distance = (

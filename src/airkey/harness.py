@@ -116,8 +116,6 @@ class ExperimentConfig:
             problems["precision_digits"] = "must be >= 16"
         if self.fading not in ("ideal", "rayleigh", "integer"):
             problems["fading"] = f"unknown fading model {self.fading!r}"
-        if self.rayleigh_scale <= 0:
-            problems["rayleigh_scale"] = "must be positive"
         if self.c_max < 1:
             problems["c_max"] = "must be >= 1"
         try:
@@ -143,8 +141,11 @@ class ExperimentConfig:
             problems["eve_mode"] = "must be single or two_round"
         if self.eve_taps not in ("matched", "rayleigh"):
             problems["eve_taps"] = "must be matched or rayleigh"
-        if self.eve_rayleigh_scale <= 0:
-            problems["eve_rayleigh_scale"] = "must be positive"
+        for name in ("rayleigh_scale", "eve_rayleigh_scale"):
+            try:
+                FadingModel.rayleigh(getattr(self, name))
+            except ValueError as exc:
+                problems[name] = str(exc)
         if self.trials < 1:
             problems["trials"] = "must be >= 1"
         if not 0 <= self.seed < 2**64:

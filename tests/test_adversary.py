@@ -5,6 +5,7 @@ import pytest
 
 from airkey import adversary
 from airkey import (
+    ExperimentConfig,
     FadingModel,
     Overflow,
     PrecisionContext,
@@ -22,6 +23,8 @@ from airkey import (
     run_protocol_hmac,
     sample_distinct_primes,
 )
+from airkey.halfduplex import sized_exchange
+from airkey.harness import child_seed, run_trial
 
 CTX = PrecisionContext(128)
 
@@ -144,6 +147,20 @@ class TestEveAttackHalf:
         assert report.eve.post_value.is_infinite()
         assert report.per_factor_overlap == [0, 0]
         assert report.digit_overlap == 0
+
+    def test_reception_sized_for_her_ratios(self):
+        # the oracle's hmac-eve-ideal point: her value is sized like any
+        # exchange, on the ratios her round-0 primes reach her with
+        c = ExperimentConfig(protocol="hmac", n_users=4, prime_digits=6,
+                             precision_digits=64, fading="ideal", eve=True,
+                             trials=3, seed=19).validate()
+        for trial in range(c.trials):
+            report = run_trial(c, trial)[2]
+            rng = random.Random(child_seed(c.seed, trial))
+            primes, _ = sample_distinct_primes(4, 6, rng)
+            work = sized_exchange(primes[1:], [report.ratios], PrecisionContext(64))
+            assert work.digits > 64
+            assert len(report.eve.post_value.as_tuple().digits) == work.digits
 
     def test_two_round_interception_on_transparent_channel(self):
         # ideal gains and matched taps: Eve recombines two rounds exactly

@@ -127,10 +127,13 @@ class TestExp:
         with pytest.raises(Overflow):
             exp(Decimal(x), PrecisionContext(32))
 
-    def test_elastic_context_widens(self):
-        elastic = PrecisionContext(32)
-        v = exp(Decimal(200), elastic)
+    def test_rounds_to_context_digits_only(self):
+        # a result wider than the context is rounded in its integer part:
+        # sizing is the caller's decision, never exp's
+        v = exp(Decimal(200), PrecisionContext(32))
+        assert len(v.as_tuple().digits) == 32
         assert v.adjusted() == 86
+        assert v == Decimal(200).exp(libmpdec(32))
 
 
 def _differential_cases(rng: random.Random, digits: int):
@@ -146,8 +149,8 @@ def _differential_cases(rng: random.Random, digits: int):
         ("exp", -Decimal(rng.randrange(1, 10**30)).scaleb(-26)),  # negative
         ("exp", Decimal(rng.randrange(1, 10**30)).scaleb(-rng.randrange(40, 80))),
     ]
-    # arguments whose results have as many integer digits as the context
-    # carries without widening: decimal exponent + GUARD <= digits
+    # arguments whose results keep GUARD of the carried digits fractional:
+    # decimal exponent + GUARD <= digits
     room = max(digits - arith.GUARD - 1, 0) * 2.3
     for bound in (1, room):
         cases.append(("exp", Decimal(repr(rng.uniform(-10, bound)))))

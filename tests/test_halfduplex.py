@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from airkey import halfduplex
 from airkey import (
     FadingModel,
     NonPositiveGain,
@@ -11,6 +12,7 @@ from airkey import (
     PrimeInput,
     draw_channel,
     estimate_csi,
+    exp,
     ln,
     pre_process,
     run_protocol_fmac,
@@ -90,6 +92,29 @@ class TestRunRound:
         sentinel[0] = PrimeInput(999983, 6)
         after = run_protocol_hmac(sentinel, ch, csi, CTX).rounds[0]
         assert before.recovered == after.recovered
+
+
+class TestReceive:
+    def test_value_wider_than_context_resolves_is_never_exponentiated(
+        self, monkeypatch
+    ):
+        # CTX resolves 64 - T - GUARD = 32 integer digits to its tolerance
+        # 1e-16 (T = 16); a 33-digit result would read as an exact integer
+        calls = []
+        monkeypatch.setattr(
+            halfduplex, "exp", lambda x, ctx: calls.append(x) or exp(x, ctx)
+        )
+
+        def heard(value):
+            signals = [None, ln(value, CTX)]
+            return halfduplex.receive(0, signals, [0, 1], CTX, CTX.tolerance)
+
+        fits = heard(3 * 10**31)
+        assert fits.recovered == 3 * 10**31 and len(calls) == 1
+        wide = heard(3 * 10**32)
+        assert len(calls) == 1
+        assert wide.failure == "not-near-integer" and wide.recovered is None
+        assert wide.post_value == wide.distance == Decimal("Infinity")
 
 
 class TestDeriveSecret:

@@ -54,11 +54,17 @@ class TestConfig:
             ("csi_error", 1.5),
             ("seed", -1),
             ("eve_mode", "both"),
+            # a draw scale * sqrt(-2 ln u) would be infinite or 0 as a float
+            ("rayleigh_scale", 1e308),
+            ("rayleigh_scale", 5e-324),
+            ("eve_rayleigh_scale", 1e308),
+            ("eve_rayleigh_scale", 5e-324),
         ],
     )
     def test_invalid_values(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as e:
             cfg(**{field: value})
+        assert field in e.value.problems
 
     @pytest.mark.parametrize(
         "doc,field",
@@ -171,9 +177,8 @@ class TestStrongNoise:
         "protocol,noise", [(dict(protocol="hmac"), "1e14"), (FMAC, "1e16")]
     )
     def test_result_beyond_exponent_bound_fails_one_receiver(self, protocol, noise):
-        # noise this strong puts exp's result past arith.MAX_EXPONENT either
-        # way; seed 1 draws no noise sample between the bounds, where exp
-        # would carry hundreds of thousands of digits
+        # noise this strong puts exp's result past what the context resolves
+        # or past -arith.MAX_EXPONENT
         c = cfg(**protocol, noise_variance=noise, eve=True, trials=2, seed=1)
         seen = set()
         for trial in range(c.trials):
