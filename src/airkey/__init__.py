@@ -9,11 +9,7 @@ from .arith import (
     ln,
     to_bigreal,
 )
-from .adversary import (
-    error_factor_from_deltas,
-    eve_attack_full,
-    eve_attack_half,
-)
+from .adversary import eve_attack_full, eve_attack_half
 from .channel import (
     ChannelState,
     FadingModel,

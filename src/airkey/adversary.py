@@ -11,27 +11,23 @@ vanishes only when every exponent ratio is exactly 1.
 Each attack runs the listener step of the legitimate receivers,
 :func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
 noise, and against the full-duplex exchange also its factor step
-:func:`airkey.fullduplex.factor`.  Her reception, and each prime raised to
-her ratio, is sized like any exchange by
-:func:`airkey.halfduplex.sized_exchange`, on the ratios her primes reach
-her with.  A reception rejected with
+:func:`airkey.fullduplex.factor`.  Her reception is sized like any
+exchange by :func:`airkey.halfduplex.sized_exchange`, on the ratios her
+primes reach her with; a product past ``arith.MAX_EXPONENT`` leaves it
+unsized, so ``receive`` records it as infinite.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
-means she did not recover the key.  One scoring step compares her
-reception with the legitimate receiver's: the gap is
-``|psi_legit - eve.post_value|`` and the error factor
-``1 - eve.post_value / psi_legit``.  A value or power past
-``arith.MAX_EXPONENT`` shares no digit.
+means she did not recover the key.  The report compares her reception
+with the legitimate receiver's: the gap is ``|psi_legit - eve.post_value|``
+and the error factor ``1 - eve.post_value / psi_legit``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, field
 
-from .arith import BigReal, PrecisionContext, exp, leading_digit_overlap, ln
+from .arith import BigReal, PrecisionContext, leading_digit_overlap, ln
 from .channel import ChannelState
-from .errors import Overflow
 from .fullduplex import factor
 from .halfduplex import pre_process, receive, sized_exchange
 from .integers import PrimeInput
@@ -46,58 +42,21 @@ class EveReport:
     the legitimate receiver she is compared with.  ``ratios`` are the
     exponents the primes reach her with: one per transmitter of the
     half-duplex round, h_eve[i] / h_star per user of the full-duplex
-    exchange.  ``digit_overlap`` counts the leading digits her value shares
-    with ``psi_legit``; ``per_factor_overlap`` those each factor of the
-    legitimate product shares with its prime raised to her ratio.
-    ``key_equal`` says whether she recovered the group secret.
+    exchange.  ``key_equal`` says whether she recovered the group secret.
+    ``digit_overlap`` counts the leading digits her value shares with
+    ``psi_legit``; a value recorded as 0 or infinite shares none.
     """
 
     eve: Reception
     psi_legit: BigReal
     ratios: list[BigReal]
-    digit_overlap: int
-    per_factor_overlap: list[int]
     key_equal: bool
+    digit_overlap: int = field(init=False)
 
-
-def error_factor_from_deltas(primes, deltas, ctx: PrecisionContext) -> BigReal:
-    """1 - prod(p_i ** delta_i): the multiplicative gap Eve's value carries."""
-    with ctx.local():
-        s = Decimal(0)
-        for p, d in zip(primes, deltas):
-            value = p.value if isinstance(p, PrimeInput) else p
-            s += Decimal(d) * ln(value, ctx)
-    return 1 - exp(s, ctx)
-
-
-def _score(eve, psi_legit, ratios, factors, key_equal, ctx) -> EveReport:
-    """The report on Eve's reception.
-
-    ``factors`` holds (prime, legitimate exponent, Eve's ratio) for each
-    factor of the legitimate product.
-    """
-    per_factor = []
-    for p, e, r in factors:
-        try:
-            work = sized_exchange([p], [[r]], ctx)
-            with work.local():
-                power = exp(r * ln(p.value, work), work)
-        except Overflow:
-            # past MAX_EXPONENT a power shares no digit with p**e, as in receive
-            per_factor.append(0)
-        else:
-            per_factor.append(leading_digit_overlap(p.value**e, power))
-    # a value recorded as 0 or infinite (receive) shares no digit
-    values = (psi_legit, eve.post_value)
-    carried = all(v.is_finite() and v > 0 for v in values)
-    return EveReport(
-        eve=eve,
-        psi_legit=psi_legit,
-        ratios=ratios,
-        digit_overlap=leading_digit_overlap(*values) if carried else 0,
-        per_factor_overlap=per_factor,
-        key_equal=key_equal,
-    )
+    def __post_init__(self):
+        values = (self.psi_legit, self.eve.post_value)
+        carried = all(v.is_finite() and v > 0 for v in values)
+        self.digit_overlap = leading_digit_overlap(*values) if carried else 0
 
 
 def eve_attack_half(
@@ -123,10 +82,7 @@ def eve_attack_half(
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
             for i in transmitters
         ]
-    try:
-        work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
-    except Overflow:
-        work = ctx  # receive records a value past MAX_EXPONENT as infinite
+    work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
     eve = receive(None, record.signals, ch.h_eve, work, ctx.tolerance)
     key_equal = False
     if second_record is not None and eve.recovered is not None:
@@ -134,8 +90,7 @@ def eve_attack_half(
         key_equal = second.recovered is not None and math.lcm(
             eve.recovered, second.recovered
         ) == math.prod(p.value for p in primes)
-    factors = [(primes[i], 1, r) for i, r in zip(transmitters, ratios)]
-    return _score(eve, record.post_value, ratios, factors, key_equal, ctx)
+    return EveReport(eve, record.post_value, ratios, key_equal)
 
 
 def eve_attack_full(
@@ -159,9 +114,5 @@ def eve_attack_full(
     work = sized_exchange(primes, [ratios], ctx)
     signals = [pre_process(ln(p.value, work), ch.h_star, work) for p in primes]
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
-    j = record.receiver
-    factors = [
-        (p, ch.c[i][j], ratios[i]) for i, p in enumerate(primes) if i != j
-    ]
     key_equal = eve.recovered == math.prod(p.value for p in primes)
-    return _score(eve, record.post_value, ratios, factors, key_equal, ctx)
+    return EveReport(eve, record.post_value, ratios, key_equal)

@@ -16,11 +16,12 @@ digits, so at least its integer part and ``T + 2 * GUARD`` fractional
 digits are resolved.  :meth:`PrecisionContext.sized` applies the rule, and
 only the one sizing step of every exchange,
 :func:`airkey.halfduplex.sized_exchange`, calls it, so the logs a protocol
-takes carry every digit the product needs.  ``ln`` and ``exp`` are pure
-kernels: they round to ``ctx.digits`` and never choose a precision.  The
-rule raises :class:`Overflow` for a result whose decimal exponent lies
-beyond ``MAX_EXPONENT`` either way, and so does ``exp``, before any digit
-is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
+takes carry every digit the product needs.  That step alone decides what
+happens to a product whose decimal exponent lies beyond ``MAX_EXPONENT``:
+it leaves the context unsized.  ``ln`` and ``exp`` are pure kernels: they
+round to ``ctx.digits`` and never choose a precision; ``exp`` raises
+:class:`Overflow` for a result beyond ``MAX_EXPONENT`` either way, before
+any digit is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
 (:meth:`PrecisionContext.local`) so sums of logs keep their digits.
 
 ``ln`` and ``exp`` take and return Decimals but compute in binary fixed
@@ -47,6 +48,8 @@ from decimal import (
     ROUND_HALF_EVEN,
     Context,
     Decimal,
+    Inexact,
+    InvalidOperation,
     localcontext,
 )
 
@@ -57,6 +60,12 @@ BigReal = Decimal
 
 _LN10 = math.log(10)
 _EMAX = 10**9
+
+# Products and sums of finite decimals are finite decimals: with unbounded
+# precision and exponents they never round, and Inexact is trapped if one does.
+EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation]
+)
 
 # Headroom in digits: a sized value keeps 2 * GUARD fractional digits below
 # the tolerance, and ambient arithmetic GUARD digits beyond the carried ones.
@@ -97,11 +106,8 @@ class PrecisionContext:
         ``m`` is the number of integer digits of the result.  Exponentiating
         amplifies any error in its argument by the size of the result, so
         the log-domain inputs must already carry as many digits as the
-        product will have.  Raises :class:`Overflow` when the result's
-        decimal exponent ``m - 1`` lies beyond ``MAX_EXPONENT`` either way.
+        product will have; the caller bounds ``m``.
         """
-        if abs(m - 1) > MAX_EXPONENT:
-            raise Overflow(f"result exponent {m - 1} exceeds bound {MAX_EXPONENT}")
         return PrecisionContext(max(self.digits, m + self.digits // 4 + 2 * GUARD))
 
     def local(self):
@@ -139,7 +145,7 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     if x == 1:
         return Decimal(0)
     e = x.as_tuple().exponent
-    c = int(x.scaleb(-e, _EXACT))
+    c = int(x.scaleb(-e, EXACT))
     # Split off the decimal exponent away from 1, where ln x = ln(x/10^j) +
     # j ln 10 cannot cancel; near 1 keep x whole so no power of 10 is huge.
     adjusted = x.adjusted()
@@ -187,7 +193,6 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
 _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
 _ZIV_GUARD = 32  # guard bits of the first try
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # Machin-type formulas: ln 2 and ln 10 as sums of c * acoth(q).
 _MACHIN = {
@@ -265,7 +270,7 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
     w2 = w + nb
     digits = int(w2 * _LOG10_2) + 2
     # x * 10**digits truncated, so X is within 1.01 units of x * 2**w2
-    X = (int(x.scaleb(digits, _EXACT)) << w2) // 10**digits
+    X = (int(x.scaleb(digits, EXACT)) << w2) // 10**digits
     L10 = _constant("ln10", w2)
     L2 = _constant("ln2", w2)
     a = X // L10

@@ -23,17 +23,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
-from decimal import Inexact, InvalidOperation
+from decimal import Decimal, localcontext
 
-from .arith import BigReal, to_bigreal
+from .arith import EXACT, BigReal, to_bigreal
 from .errors import NonPositiveGain
 
-# Products and sums of finite decimals are finite decimals: with unbounded
-# precision and exponents they never round, and Inexact is trapped if one does.
-_EXACT = Context(
-    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation]
-)
 # sqrt(-2 ln u) at the greatest and least uniform u = 1 - rng.random() below 1
 _RAYLEIGH_FACTORS = [math.sqrt(-2.0 * math.log(u)) for u in (1 - 2.0**-53, 2.0**-53)]
 
@@ -113,7 +107,7 @@ def _draw_gain(model, h_star, rng):
     if model.kind == "rayleigh":
         return _rayleigh_gain(model.scale, rng), None
     c = rng.randint(1, model.c_max)
-    return _EXACT.multiply(h_star, c), c
+    return EXACT.multiply(h_star, c), c
 
 
 def draw_channel(
@@ -187,7 +181,7 @@ def superpose(
     """
     if len(signals) != len(taps):
         raise ValueError("need one signal slot per tap")
-    with localcontext(_EXACT):
+    with localcontext(EXACT):
         total = Decimal(0)
         for s, g in zip(signals, taps):
             if s is not None:
@@ -221,8 +215,8 @@ def estimate_csi(
     n = ch.n_users
     return tuple(
         tuple(
-            _EXACT.multiply(
-                ch.h[i][j], _EXACT.add(1, to_bigreal(rng.uniform(-epsilon, epsilon)))
+            EXACT.multiply(
+                ch.h[i][j], EXACT.add(1, to_bigreal(rng.uniform(-epsilon, epsilon)))
             )
             if i != j
             else Decimal(0)

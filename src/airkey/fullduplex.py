@@ -61,9 +61,11 @@ def run_protocol_fmac(
 
     Needs a channel drawn in integer-fading mode; rounds_used is 1 by
     construction.  Per-receiver recovery failures are recorded in the
-    reception, not raised; a product whose decimal exponent exceeds
-    ``arith.MAX_EXPONENT`` raises Overflow before any log is taken.  A
-    receiver's secret is its own prime times the recovered radical.
+    reception, not raised.  The exchange is sized once, so when one
+    receiver's product exceeds ``arith.MAX_EXPONENT`` every receiver runs
+    at ``ctx`` unsized, and each whose value it cannot resolve is recorded
+    ``not-near-integer``.  A receiver's secret is its own prime times the
+    recovered radical.
     """
     if ch.c is None:
         raise ValueError("full-duplex exchange needs an integer-fading channel")

@@ -32,7 +32,8 @@ import math
 import random
 from decimal import Decimal
 
-from .arith import GUARD, BigReal, PrecisionContext, exp, ln, nearest_integer
+from .arith import GUARD, MAX_EXPONENT, BigReal, PrecisionContext, exp, ln
+from .arith import nearest_integer
 from .channel import ChannelState, superpose
 from .errors import NonPositiveGain, Overflow
 from .integers import PrimeInput
@@ -57,15 +58,17 @@ def sized_exchange(primes: list[PrimeInput], columns, ctx: PrecisionContext):
     ``columns`` holds one exponent column per listener: 0 or 1 per user for
     an hmac round, a column of ``ch.c`` for a full-duplex receiver, the
     quotients h_eve[i] / h_star for the eavesdropper.  A product whose
-    decimal exponent is beyond ``arith.MAX_EXPONENT`` or not finite raises
-    Overflow before any log is taken.
+    decimal exponent is beyond ``MAX_EXPONENT`` or not finite leaves ``ctx``
+    unsized for the whole exchange, and never raises: :func:`receive` then
+    records each listener whose value ``ctx`` cannot resolve as infinite
+    (``not-near-integer``) without calling ``exp``.
     """
     log10s = [math.log10(p.value) for p in primes]
     magnitude = max(
         sum(float(e) * d for d, e in zip(log10s, column)) for column in columns
     )
-    if not math.isfinite(magnitude):
-        raise Overflow(f"product magnitude {magnitude} is not finite")
+    if not magnitude < MAX_EXPONENT + 1:  # also inf and nan
+        return ctx
     return ctx.sized(int(magnitude) + 1)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .errors import FactorBoundExceeded
 
@@ -21,7 +21,8 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 32  # error probability <= 4**-32 = 2**-64
 
-DEFAULT_SMOOTH_BOUND = 100_000
+# Primes up to this bound are found by batched gcd before rho runs.
+SMOOTH_BOUND = 100_000
 DEFAULT_RHO_EFFORT = 2_000_000
 # Levels between the product tree's root and the subtrees factorize starts at.
 _FOREST_DEPTH = 4
@@ -189,13 +190,13 @@ def radical(f: Factorization) -> int:
     return out
 
 
-@lru_cache(maxsize=4)
-def _prime_product_tree(bound: int) -> tuple[list[list[int]], frozenset[int]]:
-    """Product tree over all primes <= bound, and the set of those primes.
+@cache
+def _prime_product_tree() -> tuple[list[list[int]], frozenset[int]]:
+    """Product tree over all primes <= SMOOTH_BOUND, and the set of them.
 
     levels[0] are the primes.
     """
-    level = sieve(bound)
+    level = sieve(SMOOTH_BOUND)
     levels = [level]
     while len(level) > 1:
         nxt = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
@@ -230,14 +231,14 @@ def _collect_tree_primes(levels, primes, level_idx, node_idx, d, out):
         _collect_tree_primes(levels, primes, level_idx - 1, left + 1, d // d_left, out)
 
 
-def _small_prime_factors(n: int, bound: int) -> list[int]:
-    """Distinct prime factors of ``n`` below ``bound``, via batched gcd.
+def _small_prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of ``n`` up to SMOOTH_BOUND, via batched gcd.
 
     The gcd with ``n`` is taken at the subtrees ``_FOREST_DEPTH`` levels
     below the root rather than at the root: it costs the same there, and the
     descent then starts from much smaller nodes.
     """
-    levels, primes = _prime_product_tree(bound)
+    levels, primes = _prime_product_tree()
     top = max(len(levels) - 1 - _FOREST_DEPTH, 0)
     out: list[int] = []
     for idx, node in enumerate(levels[top]):
@@ -288,11 +289,7 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     return g, spent
 
 
-def factorize(
-    n: int,
-    smooth_bound: int = DEFAULT_SMOOTH_BOUND,
-    rho_effort: int = DEFAULT_RHO_EFFORT,
-) -> Factorization:
+def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
     """Complete prime factorization of ``n`` >= 2.
 
     Raises :class:`FactorBoundExceeded` when a composite cofactor resists
@@ -312,7 +309,7 @@ def factorize(
         if e:
             exponents[p] = exponents.get(p, 0) + e
 
-    for p in _small_prime_factors(m, smooth_bound):
+    for p in _small_prime_factors(m):
         strip(p)
 
     # Pending chunks jointly cover every prime left in m; each discovered

@@ -20,7 +20,6 @@ from airkey import (
     FadingModel,
     PrecisionContext,
     draw_channel,
-    error_factor_from_deltas,
     estimate_csi,
     eve_attack_half,
     exp,
@@ -33,7 +32,9 @@ from airkey import (
     sample_prime,
 )
 from airkey.arith import nearest_integer
+from airkey.halfduplex import sized_exchange
 from airkey.harness import child_seed
+from eve_model import error_factor_from_deltas
 
 
 def verdict(capsys, ok: bool, name: str, detail: str):
@@ -215,7 +216,14 @@ def test_criterion_5_trailing_digit_security(capsys):
         report = eve_attack_half(r0, primes, ch, ctx, second_record=r1)
         if report.key_equal:
             key_hits += 1
-        if any(o > 4 for o in report.per_factor_overlap):
+        # each transmitted prime against itself raised to Eve's ratio
+        overlaps = []
+        for p, r in zip(primes[1:], report.ratios):
+            work = sized_exchange([p], [[r]], ctx)
+            with work.local():
+                power = exp(r * ln(p.value, work), work)
+            overlaps.append(leading_digit_overlap(p.value, power))
+        if any(o > 4 for o in overlaps):
             overlap_bad += 1
     verdict(
         capsys,

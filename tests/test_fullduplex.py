@@ -9,7 +9,6 @@ from airkey import fullduplex
 from airkey import (
     DuplicatePrimeDetected,
     FadingModel,
-    Overflow,
     PrecisionContext,
     PrimeInput,
     draw_channel,
@@ -88,16 +87,23 @@ class TestRunFullRound:
                 [PrimeInput(3, 1), PrimeInput(3, 1)], forced_c_channel(2, 1), CTX
             )
 
-    def test_product_beyond_exponent_bound_raises_before_any_log(self, monkeypatch):
+    def test_product_beyond_exponent_bound_takes_no_wide_log(self, monkeypatch):
         # c = 300000 on 6-digit primes: a product of millions of digits.  The
-        # bound is checked where the digits are decided, before any log.
-        def no_ln(x, ctx):
-            raise AssertionError(f"ln taken at {ctx.digits} digits")
+        # bound is checked where the digits are decided, so every receiver
+        # is recorded as infinite and no log is taken at that width.
+        real = fullduplex.ln
 
-        monkeypatch.setattr(fullduplex, "ln", no_ln)
+        def narrow_ln(x, ctx):
+            assert ctx.digits <= CTX.digits, f"ln taken at {ctx.digits} digits"
+            return real(x, ctx)
+
+        monkeypatch.setattr(fullduplex, "ln", narrow_ln)
         primes, _ = sample_distinct_primes(3, 6, random.Random(0))
-        with pytest.raises(Overflow):
-            run_protocol_fmac(primes, forced_c_channel(3, 300_000), CTX)
+        t = run_protocol_fmac(primes, forced_c_channel(3, 300_000), CTX)
+        for r in t.rounds:
+            assert r.failure == "not-near-integer"
+            assert r.post_value.is_infinite()
+        assert t.per_user_secret == [None] * 3
 
 
 class TestRecoverSecret:

@@ -147,10 +147,12 @@ class TestRunExperiment:
             fields = row.split(",")
             assert fields[5] in ("0", "1")  # eve_key_equal
 
-    def test_eve_rayleigh_taps_on_integer_channel(self):
-        summary = run_experiment(
-            cfg(**FMAC, eve=True, eve_taps="rayleigh", trials=10)
-        )
+    @pytest.mark.parametrize("scale", [1, 10**7])
+    def test_eve_rayleigh_taps_on_integer_channel(self, scale):
+        # at 10**7 her product is past MAX_EXPONENT: recorded, not raised
+        summary = run_experiment(cfg(
+            **FMAC, eve=True, eve_taps="rayleigh", eve_rayleigh_scale=scale, trials=10
+        ))
         assert summary["eve_success_rate"] == 0.0
 
 
