@@ -52,6 +52,7 @@ from decimal import (
     InvalidOperation,
     localcontext,
 )
+from functools import cache
 
 from .errors import NonPositiveInput, Overflow
 
@@ -116,11 +117,29 @@ class PrecisionContext:
         Plain ``+``/``*`` on Decimals obey the thread's current context
         (28 digits by default), so callers composing BigReals must wrap the
         arithmetic:  ``with ctx.local(): y = ln(a, ctx) + ln(b, ctx)``.
+        ``localcontext`` installs a copy of the shared :attr:`ambient`
+        context, so the block may change its copy freely.
         """
-        return localcontext(_context(self.digits + GUARD))
+        return localcontext(self.ambient)
+
+    @property
+    def ambient(self) -> Context:
+        """The shared context of :meth:`local`, for one-off operations.
+
+        ``ctx.ambient.divide(a, b)`` rounds as ``a / b`` does inside
+        ``ctx.local()`` without installing a context.
+        """
+        return _context(self.digits + GUARD)
 
 
+@cache
 def _context(prec: int) -> Context:
+    """The decimal context of ``prec`` digits, built once per precision.
+
+    Rounds half-even with exponents bounded by ``10**9``.  Every caller
+    shares the one instance: nothing may set its ``prec``, rounding or
+    traps, and the flags its operations raise are never read.
+    """
     return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=_EMAX, Emin=-_EMAX)
 
 
@@ -379,10 +398,8 @@ def nearest_integer(x: BigReal):
     """Nearest integer to ``x`` and the exact distance to it."""
     x = to_bigreal(x)
     n = x.to_integral_value(rounding=ROUND_HALF_EVEN)
-    with localcontext(Context(prec=max(len(x.as_tuple().digits) + 10, 28),
-                              Emax=_EMAX, Emin=-_EMAX)):
-        distance = abs(x - n)
-    return int(n), distance
+    context = _context(max(len(x.as_tuple().digits) + 10, 28))
+    return int(n), context.abs(context.subtract(x, n))
 
 
 def leading_digit_overlap(a: BigReal, b: BigReal) -> int:

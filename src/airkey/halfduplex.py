@@ -23,7 +23,9 @@ integer digits of the largest product any of its listeners hears, so each
 prime's log is taken once per run.  ``exp`` never widens, so
 :func:`receive` rejects a value whose integer part its context cannot
 resolve to the tolerance.  The tolerance stays ``ctx.tolerance = 10**-T``.
-Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``.
+Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``, by
+that precision's shared context (``ctx.ambient``) rather than by entering
+a local context per signal.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ def pre_process(log_p: BigReal, gain: BigReal, ctx: PrecisionContext) -> BigReal
     """
     if gain <= 0:
         raise NonPositiveGain(f"gain must be positive, got {gain}")
-    with ctx.local():
-        return log_p / gain
+    return ctx.ambient.divide(log_p, gain)
 
 
 def sized_exchange(primes: list[PrimeInput], columns, ctx: PrecisionContext):

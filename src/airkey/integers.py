@@ -2,10 +2,15 @@
 
 The full-duplex receiver knows no prime but its own, so recovery needs a
 general-purpose (desk-scale) factorizer.  Small factors are stripped with
-batched trial division (a gcd against a cached product tree of all primes
-below a bound, which is orders of magnitude faster than dividing one prime
-at a time on 400-digit inputs); whatever survives goes to Brent's variant
-of Pollard's rho under an explicit effort budget.
+batched trial division: a gcd against each subtree of a cached product tree
+of all primes below a bound, which is orders of magnitude faster than
+dividing one prime at a time on 400-digit inputs.  Each prime found is
+divided out at once, so the cofactor the later subtrees are reduced modulo
+shrinks, and the walk ends when it reaches 1.  Whatever survives goes to
+Brent's variant of Pollard's rho under an explicit effort budget.
+
+Primality is Miller-Rabin with the fewest prime bases proven exact for the
+candidate's size, and random bases only beyond about 3.3e24.
 """
 
 from __future__ import annotations
@@ -17,8 +22,22 @@ from functools import cache
 
 from .errors import FactorBoundExceeded
 
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k prime bases is exact below psi_k, the least
+# composite that passes all k (OEIS A014233); each entry is (psi_k, k) for
+# the k that first raises the bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 _MR_RANDOM_ROUNDS = 32  # error probability <= 4**-32 = 2**-64
 
 # Primes up to this bound are found by batched gcd before rho runs.
@@ -40,37 +59,44 @@ def sieve(bound: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _mr_witness(n: int, a: int) -> bool:
-    """True if ``a`` witnesses that ``n`` is composite."""
+def _mr_composite(n: int, bases) -> bool:
+    """True if a base in ``bases``, each in [2, n - 2], proves odd ``n`` composite."""
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(r - 1):
-        x = (x * x) % n
-        if x == n - 1:
-            return False
-    return True
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return True
+    return False
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below ~3.3e24, 32 random rounds above."""
+    """Miller-Rabin, exact below psi_13 ~ 3.3e24, 32 random rounds above.
+
+    Below psi_13 it runs the shortest prefix of ``_MR_BASES`` proven exact
+    below ``n`` (``_MR_EXACT_BELOW``): base 2 alone below 2 047, bases 2
+    and 3 below 1 373 653, all 13 only from psi_12 ~ 3.2e23 on.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
             return False
-    if n < _MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(n, a) for a in _MR_BASES)
+    for bound, k in _MR_EXACT_BELOW:
+        if n < bound:
+            return not _mr_composite(n, _MR_BASES[:k])
     rng = random.Random(n)
-    return not any(
-        _mr_witness(n, rng.randrange(2, n - 1)) for _ in range(_MR_RANDOM_ROUNDS)
+    return not _mr_composite(
+        n, (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     )
 
 
@@ -231,21 +257,41 @@ def _collect_tree_primes(levels, primes, level_idx, node_idx, d, out):
         _collect_tree_primes(levels, primes, level_idx - 1, left + 1, d // d_left, out)
 
 
-def _small_prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of ``n`` up to SMOOTH_BOUND, via batched gcd.
+def _strip_small_primes(n: int) -> tuple[dict[int, int], int]:
+    """Exponents of the primes up to SMOOTH_BOUND in ``n``, and the cofactor.
 
-    The gcd with ``n`` is taken at the subtrees ``_FOREST_DEPTH`` levels
-    below the root rather than at the root: it costs the same there, and the
-    descent then starts from much smaller nodes.
+    The gcd is taken at the subtrees ``_FOREST_DEPTH`` levels below the
+    root rather than at the root: it costs the same there, and the descent
+    then starts from much smaller nodes.  The subtrees are visited from the
+    largest primes down, each prime found is divided out at its full power
+    at once, so every later subtree is reduced modulo a smaller cofactor,
+    and the walk stops when the cofactor is 1.
     """
     levels, primes = _prime_product_tree()
     top = max(len(levels) - 1 - _FOREST_DEPTH, 0)
-    out: list[int] = []
-    for idx, node in enumerate(levels[top]):
+    exponents: dict[int, int] = {}
+    for idx in reversed(range(len(levels[top]))):
+        if n == 1:
+            break
+        node = levels[top][idx]
         g = math.gcd(n, node % n if node >= n else node)
-        if g > 1:
-            _collect_tree_primes(levels, primes, top, idx, g, out)
-    return out
+        if g == 1:
+            continue
+        found: list[int] = []
+        _collect_tree_primes(levels, primes, top, idx, g, found)
+        for p in found:
+            n, exponents[p] = _divide_out(n, p)
+    return exponents, n
+
+
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """``n`` with every factor ``p`` divided out, and how many there were."""
+    e = 0
+    q, r = divmod(n, p)
+    while not r:
+        n, e = q, e + 1
+        q, r = divmod(n, p)
+    return n, e
 
 
 def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
@@ -297,20 +343,7 @@ def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
     """
     if n < 2:
         raise ValueError("factorize requires n >= 2")
-    exponents: dict[int, int] = {}
-    m = n
-
-    def strip(p: int):
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            exponents[p] = exponents.get(p, 0) + e
-
-    for p in _small_prime_factors(m):
-        strip(p)
+    exponents, m = _strip_small_primes(n)
 
     # Pending chunks jointly cover every prime left in m; each discovered
     # prime is stripped from m itself, so stale chunks are harmless.
@@ -321,7 +354,7 @@ def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
         if c == 1:
             continue
         if is_probable_prime(c):
-            strip(c)
+            m, exponents[c] = _divide_out(m, c)
             continue
         factor = 0
         for seed in range(64):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from decimal import Decimal
@@ -50,6 +51,37 @@ class TestPreProcess:
     def test_rejects_non_positive_gain(self):
         with pytest.raises(NonPositiveGain):
             pre_process(ln(2, CTX), Decimal(0), CTX)
+
+    @pytest.mark.parametrize("digits", [16, 64, 128, 300])
+    def test_matches_division_in_the_local_context(self, digits):
+        ctx = PrecisionContext(digits)
+        rng = random.Random(digits)
+        primes, _ = sample_distinct_primes(6, 6, rng)
+        ch = draw_channel(6, FadingModel.rayleigh(1), 1, 0, rng)
+        # a tiny CSI error leaves gains of 60 and more digits
+        perturbed = [g for row in estimate_csi(ch, 1e-40, rng) for g in row if g]
+        assert min(len(g.as_tuple().digits) for g in perturbed) >= 60
+        perturbed += [g for row in estimate_csi(ch, 0.25, rng) for g in row if g]
+        wide = [Decimal(rng.getrandbits(700)).scaleb(-rng.randrange(150, 250))
+                for _ in range(10)]
+        for p in primes:
+            log_p = ln(p.value, ctx)
+            for gain in perturbed + wide + [Decimal("1e-300"), Decimal(7)]:
+                with ctx.local():
+                    expected = log_p / gain
+                assert pre_process(log_p, gain, ctx).as_tuple() == expected.as_tuple()
+
+    def test_protocol_run_leaves_the_thread_context_alone(self):
+        ambient = decimal.getcontext()
+        ambient.clear_flags()
+        prec, flags = ambient.prec, dict(ambient.flags)
+        primes, ch, csi, rng = make_setup(5, FadingModel.rayleigh(1), 3)
+        run_protocol_hmac(primes, ch, csi, PrecisionContext(96), rng)
+        primes, _ = sample_distinct_primes(4, 5, rng)
+        ch = draw_channel(4, FadingModel.integer(4), 1, 0, rng)
+        run_protocol_fmac(primes, ch, PrecisionContext(128))
+        assert decimal.getcontext() is ambient
+        assert (ambient.prec, dict(ambient.flags)) == (prec, flags)
 
 
 class TestRunRound:

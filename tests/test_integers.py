@@ -13,7 +13,28 @@ from airkey import (
     sample_distinct_primes,
     sample_prime,
 )
-from airkey.integers import _PRIME_COUNT, sieve
+from airkey.integers import (
+    _FOREST_DEPTH,
+    _PRIME_COUNT,
+    SMOOTH_BOUND,
+    _prime_product_tree,
+    sieve,
+)
+
+# psi_k of OEIS A014233, the least composite that passes Miller-Rabin to each
+# of the first k prime bases, for the k at which it grows (k = 1..7, 9, 12, 13).
+PSI = [
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+]
 
 
 class BoundedRandom(random.Random):
@@ -41,6 +62,35 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def reference_is_prime(n: int, rounds: int = 48) -> bool:
+    # independent oracle for large n: Miller-Rabin with random bases, wrong
+    # with probability below 4**-48
+    if n < 4:
+        return n in (2, 3)
+    if n % 2 == 0:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    rng = random.Random(n)
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor_oracle(picks: dict[int, int]) -> tuple[int, tuple]:
+    # we build the number, so factorize must return the recipe
+    return math.prod(p**e for p, e in picks.items()), tuple(sorted(picks.items()))
+
+
 class TestPrimality:
     def test_small_range_matches_trial_division(self):
         for n in range(2000):
@@ -55,6 +105,33 @@ class TestPrimality:
     @pytest.mark.parametrize("n", [561, 41041, 825265, 321197185])
     def test_carmichael_numbers_are_composite(self, n):
         assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("psi", PSI)
+    def test_strong_pseudoprime_bounds_are_composite(self, psi):
+        # each psi_k fools exactly the bases exact below it
+        assert not reference_is_prime(psi)
+        assert not is_probable_prime(psi)
+
+    def test_twelve_base_pseudoprime_is_rejected(self):
+        psi_12 = 318_665_857_834_031_151_167_461
+        assert psi_12 == 399_165_290_221 * 798_330_580_441
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeInput(psi_12, 24)
+
+    @pytest.mark.parametrize("psi", PSI)
+    def test_first_prime_above_each_bound_reads_prime(self, psi):
+        n = psi + 1
+        while not reference_is_prime(n):
+            assert not is_probable_prime(n)
+            n += 1
+        assert is_probable_prime(n)
+
+    @pytest.mark.parametrize("k", range(1, len(PSI)))
+    def test_random_values_between_bounds_match_the_reference(self, k):
+        rng = random.Random(k)
+        for _ in range(200):
+            n = rng.randrange(PSI[k - 1], PSI[k]) | 1
+            assert is_probable_prime(n) == reference_is_prime(n)
 
     def test_sieve_matches_oracle(self):
         assert sieve(100) == [n for n in range(101) if trial_division_is_prime(n)]
@@ -161,6 +238,51 @@ class TestFactorize:
         p, q = 1_000_003, 9_999_991
         with pytest.raises(FactorBoundExceeded):
             factorize(p * q, rho_effort=10)
+
+    def test_both_ends_of_the_forest_in_one_product(self):
+        n, recipe = factor_oracle({2: 5, 3: 1, 50_021: 2, 99_989: 1, 99_991: 3})
+        assert factorize(n).factors == recipe
+
+    def test_primes_under_the_carried_top_node(self):
+        levels, _ = _prime_product_tree()
+        top = len(levels) - 1 - _FOREST_DEPTH
+        # the last top node is an odd node carried up from the level below
+        assert len(levels[top - 1]) % 2 == 1
+        first = sieve(SMOOTH_BOUND)[(len(levels[top]) - 1) << top]
+        n, recipe = factor_oracle({7: 2, first: 4, 99_991: 1})
+        assert factorize(n).factors == recipe
+
+    @pytest.mark.parametrize("p, e", [(2, 40), (65_537, 7), (99_991, 8), (1_000_003, 3)])
+    def test_single_prime_power(self, p, e):
+        n, recipe = factor_oracle({p: e})
+        assert factorize(n).factors == recipe
+
+    @pytest.mark.parametrize("p", [2, 3, 37, 9_973, 65_537, 99_991])
+    def test_prime_below_smooth_bound_alone(self, p):
+        assert factorize(p).factors == ((p, 1),)
+
+    def test_cofactor_reaches_one_in_the_first_subtree(self):
+        # all factors lie under the top node of the largest primes
+        n, recipe = factor_oracle({99_901: 3, 99_929: 1, 99_991: 8})
+        assert factorize(n).factors == recipe
+
+    def test_small_primes_with_a_rho_sized_semiprime(self):
+        p, q = 1_000_003, 9_999_991
+        n, recipe = factor_oracle({2: 3, 11: 1, 65_537: 2, 99_991: 1, p: 1, q: 1})
+        with pytest.raises(FactorBoundExceeded):
+            factorize(n, rho_effort=10)
+        assert factorize(n).factors == recipe
+
+    def test_random_products_across_the_forest(self):
+        rng = random.Random(23)
+        small = sieve(SMOOTH_BOUND)
+        for _ in range(60):
+            picks = {}
+            for _ in range(rng.randrange(1, 14)):
+                p = rng.choice(small)
+                picks[p] = picks.get(p, 0) + rng.randrange(1, 9)
+            n, recipe = factor_oracle(picks)
+            assert factorize(n).factors == recipe
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
