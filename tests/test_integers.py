@@ -252,7 +252,9 @@ class TestFactorize:
         n, recipe = factor_oracle({7: 2, first: 4, 99_991: 1})
         assert factorize(n).factors == recipe
 
-    @pytest.mark.parametrize("p, e", [(2, 40), (65_537, 7), (99_991, 8), (1_000_003, 3)])
+    @pytest.mark.parametrize(
+        "p, e", [(2, 40), (65_537, 7), (99_991, 8), (1_000_003, 3)]
+    )
     def test_single_prime_power(self, p, e):
         n, recipe = factor_oracle({p: e})
         assert factorize(n).factors == recipe
