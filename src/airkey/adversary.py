@@ -14,7 +14,13 @@ noise, and against the full-duplex exchange also its factor step
 :func:`airkey.fullduplex.factor`.  Her reception is sized like any
 exchange by :func:`airkey.halfduplex.sized_exchange`, on the ratios her
 primes reach her with; a product past ``arith.MAX_EXPONENT`` leaves it
-unsized, so ``receive`` records it as infinite.  A reception rejected with
+unsized, so ``receive`` records it as infinite.  Against a half-duplex
+round a value more than a digit above the group secret is left unsized
+too: it cannot divide the secret, so none of its digits is worth
+computing, and ``receive`` records it as infinite when ``ctx`` cannot
+resolve it.  The full-duplex attack keeps its sizing: matched taps that
+are large integer multiples of h* give her the key from a product above
+the secret.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
 means she did not recover the key.  The report compares her reception
 with the legitimate receiver's: the gap is ``|psi_legit - eve.post_value|``
@@ -82,7 +88,14 @@ def eve_attack_half(
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
             for i in transmitters
         ]
-    work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
+    # a value over ten times the group secret cannot divide it, so it gets
+    # no more digits than ctx carries
+    log10s = [math.log10(p.value) for p in primes]
+    magnitude = sum(float(r) * log10s[i] for r, i in zip(ratios, transmitters))
+    if magnitude > sum(log10s) + 1:
+        work = ctx
+    else:
+        work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
     eve = receive(None, record.signals, ch.h_eve, work, ctx.tolerance)
     key_equal = False
     if second_record is not None and eve.recovered is not None:

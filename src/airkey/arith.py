@@ -28,13 +28,12 @@ any digit is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
 point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
 ch. 4): the argument becomes an int scaled by 2**w, with w the bits of the
 carried digits plus guard bits; it is reduced by multiples of ln 10 and
-ln 2 and summed as a series; the result is rounded half-even to the carried
-digits once, by a multiply by a power of ten and a shift.  Every kernel step
-carries a bound on its error, and a result within that bound of a rounding
-boundary is computed again with twice the guard bits (Ziv's test).  Results
-are therefore correctly rounded, within 0.5 ulp and inside the 2-ulp
-contract, and equal libmpdec's ``Decimal.ln``/``Decimal.exp`` digit for
-digit and exponent for exponent.
+ln 2 and summed as a series.  Every kernel step carries a bound on its
+error, and libmpdec rounds both ends of that error bracket half-even to the
+carried digits; when they disagree the result is computed again with twice
+the guard bits (Ziv's test).  Results are therefore correctly rounded,
+within 0.5 ulp and inside the 2-ulp contract, and equal libmpdec's
+``Decimal.ln``/``Decimal.exp`` digit for digit and exponent for exponent.
 """
 
 from __future__ import annotations
@@ -353,53 +352,28 @@ def _correctly_rounded(kernel, digits: int) -> Decimal:
 def _round_half_even(man: int, err: int, shift: int, dexp: int, digits: int):
     """man * 2**-shift * 10**dexp rounded half-even to ``digits`` digits.
 
-    Returns None when the value, known to within ``err`` units of
-    2**-shift, may lie on either side of a power of ten or of the half
-    between two results.
+    The value is known to within ``err`` units of 2**-shift.  libmpdec
+    rounds both ends of that bracket; half-even rounding is monotone, so
+    when the ends round alike every value between them does too, and
+    powers of ten and halves need no case of their own.  Otherwise the
+    result is None and Ziv's loop retries.  A quotient exact in fewer than
+    ``digits`` digits would keep its short form, but that needs ``man ± err``
+    to end in more than 2.3 * digits + 32 zero bits.
     """
-    negative = man < 0
-    man = abs(man)
-    if man <= err:
+    context = _context(digits)
+    den = Decimal(1 << shift)
+    lo = context.divide(Decimal(man - err), den)
+    hi = context.divide(Decimal(man + err), den)
+    if lo != hi or lo.is_zero():
         return None
-    low, high = 10 ** (digits - 1), 10**digits
-    a = math.floor(math.log10(man) - shift * _LOG10_2)  # corrected below
-    while True:
-        # v * 10**s is q + rem / den, within bound / den, for v = man * 2**-shift
-        s = digits - 1 - a
-        if s >= 0:
-            scale = 10**s
-            num, bound, den = man * scale, err * scale, 1 << shift
-            q, rem = num >> shift, num & (den - 1)
-        else:
-            num, bound, den = man, err, 10**-s << shift
-            q, rem = divmod(num, den)
-        if 2 * bound >= den:
-            return None
-        if (q == low and rem <= bound) or (q == low - 1 and den - rem <= bound):
-            return None  # v may lie on either side of 10**a
-        if (q == high and rem <= bound) or (q == high - 1 and den - rem <= bound):
-            return None  # or of 10**(a + 1)
-        if q < low:
-            a -= 1
-        elif q >= high:
-            a += 1
-        else:
-            break
-    if abs(2 * rem - den) <= 2 * bound:
-        return None
-    if 2 * rem > den:
-        q += 1
-        if q == high:  # rounded up to the next power of ten
-            q, s = low, s - 1
-    return Decimal(-q if negative else q).scaleb(dexp - s, _context(digits))
+    return lo.scaleb(dexp, context)
 
 
 def nearest_integer(x: BigReal):
     """Nearest integer to ``x`` and the exact distance to it."""
     x = to_bigreal(x)
     n = x.to_integral_value(rounding=ROUND_HALF_EVEN)
-    context = _context(max(len(x.as_tuple().digits) + 10, 28))
-    return int(n), context.abs(context.subtract(x, n))
+    return int(n), EXACT.abs(EXACT.subtract(x, n))
 
 
 def leading_digit_overlap(a: BigReal, b: BigReal) -> int:

@@ -237,17 +237,22 @@ def run_trial(cfg: ExperimentConfig, trial: int):
     return row, transcript, report
 
 
-def _render_metrics(rows) -> str:
+def _render_csv(columns, rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=METRICS_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _summarize(cfg: ExperimentConfig, rows, reports) -> dict:
+def _eve_mean(rows, column):
+    """Mean of an Eve column over the trials that ran her, None if none did."""
+    values = [r[column] for r in rows if r[column] != ""]
+    return sum(values) / len(values) if values else None
+
+
+def _summarize(cfg: ExperimentConfig, rows) -> dict:
     n = len(rows)
-    with_eve = [r for r in reports if r is not None]
     return {
         "schema_version": SCHEMA_VERSION,
         "protocol": cfg.protocol,
@@ -257,35 +262,34 @@ def _summarize(cfg: ExperimentConfig, rows, reports) -> dict:
         "rounds_used": rows[0]["rounds_used"] if rows else None,
         "agreement_rate": sum(r["group_agreed"] for r in rows) / n,
         "failure_rate": sum(r["failures"] > 0 for r in rows) / n,
-        "eve_success_rate": (
-            sum(r.key_equal for r in with_eve) / len(with_eve) if with_eve else None
-        ),
-        "mean_eve_digit_overlap": (
-            sum(r.digit_overlap for r in with_eve) / len(with_eve)
-            if with_eve
-            else None
-        ),
+        "eve_success_rate": _eve_mean(rows, "eve_key_equal"),
+        "mean_eve_digit_overlap": _eve_mean(rows, "eve_digit_overlap"),
         "config": cfg.to_dict(),
     }
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run all trials; write metrics.csv / summary.json when out_dir is set."""
+    """Run all trials; write metrics.csv / summary.json when out_dir is set.
+
+    Only the rows are kept, and the transcripts when ``save_transcripts``
+    asks for them.
+    """
     cfg.validate()
     rows = []
-    reports = []
     transcripts = []
     for trial in range(cfg.trials):
-        row, transcript, report = run_trial(cfg, trial)
+        row, transcript, _ = run_trial(cfg, trial)
         rows.append(row)
-        reports.append(report)
-        transcripts.append(transcript)
-    summary = _summarize(cfg, rows, reports)
+        if cfg.save_transcripts:
+            transcripts.append(transcript)
+    summary = _summarize(cfg, rows)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            (out / "metrics.csv").write_text(_render_metrics(rows), encoding="utf-8")
+            (out / "metrics.csv").write_text(
+                _render_csv(METRICS_COLUMNS, rows), encoding="utf-8"
+            )
             (out / "summary.json").write_text(
                 json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
@@ -326,10 +330,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
         row = {"axis": axis, "value": coerced, **summary}
         table.append({k: row[k] for k in SWEEP_COLUMNS})
     if base_out is not None:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(table)
         Path(base_out).mkdir(parents=True, exist_ok=True)
-        (Path(base_out) / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+        (Path(base_out) / "sweep.csv").write_text(
+            _render_csv(SWEEP_COLUMNS, table), encoding="utf-8"
+        )
     return table

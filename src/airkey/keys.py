@@ -17,7 +17,6 @@ _EXTRACT_SALT = b"airkey/v1/extract"
 @dataclass(frozen=True)
 class DerivedKey:
     key: bytes
-    source_secret: int
 
     @property
     def hex(self) -> str:
@@ -45,4 +44,4 @@ def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") 
         ).digest()
         okm += block
         counter += 1
-    return DerivedKey(key=okm[: length_bits // 8], source_secret=secret)
+    return DerivedKey(key=okm[: length_bits // 8])

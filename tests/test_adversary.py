@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal
 
-from airkey import adversary
+from airkey import adversary, halfduplex
 from airkey import (
     ExperimentConfig,
     FadingModel,
@@ -175,6 +175,24 @@ class TestEveAttackHalf:
             work = sized_exchange(primes[1:], [report.ratios], PrecisionContext(64))
             assert work.digits > 64
             assert len(report.eve.post_value.as_tuple().digits) == work.digits
+
+    def test_value_above_the_secret_is_not_exponentiated(self, monkeypatch):
+        # ratios in the thousands give her round tens of thousands of
+        # digits; being far above the secret, it is recorded as infinite
+        # with no exp wider than the context
+        real = halfduplex.exp
+
+        def checked(x, ctx):
+            assert ctx.digits <= CTX.digits, f"exp taken at {ctx.digits} digits"
+            return real(x, ctx)
+
+        monkeypatch.setattr(halfduplex, "exp", checked)
+        c = ExperimentConfig(n_users=3, precision_digits=CTX.digits, eve=True,
+                             eve_taps="rayleigh", eve_rayleigh_scale=1e4,
+                             trials=1, seed=1).validate()
+        report = run_trial(c, 0)[2]
+        assert_no_recovery(report)
+        assert report.digit_overlap == 0
 
     def test_two_round_interception_on_transparent_channel(self):
         # ideal gains and matched taps: Eve recombines two rounds exactly

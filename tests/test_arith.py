@@ -209,6 +209,96 @@ class TestAgreesWithLibmpdec:
         assert calls["undecided"] > 0
 
 
+def exactly_rounded(man: int, shift: int, dexp: int, digits: int) -> Decimal:
+    """man * 2**-shift * 10**dexp rounded half-even from its exact value."""
+    context = arith._context(digits)
+    exact = arith.EXACT.divide(Decimal(man), Decimal(2**shift))
+    return context.plus(exact).scaleb(dexp, context)
+
+
+class TestRoundHalfEven:
+    """The kernel's decision step, against the exact quotient's rounding."""
+
+    decide = staticmethod(arith._round_half_even)
+
+    def test_exact_values_always_decide(self):
+        rng = random.Random(21)
+        for digits in (16, 64, 200):
+            for _ in range(200):
+                shift = rng.randrange(0, 4 * digits)
+                man = rng.randrange(1, 2 ** (shift + rng.randrange(1, 8 * digits)))
+                man *= rng.choice((1, -1))
+                dexp = rng.randrange(-500, 500)
+                got = self.decide(man, 0, shift, dexp, digits)
+                assert got.as_tuple() == exactly_rounded(man, shift, dexp, digits).as_tuple()
+
+    @pytest.mark.parametrize("digits", [16, 64])
+    def test_short_and_half_way_exact_values(self, digits):
+        # 3 and 1.5 keep their short form; 10**(digits-1) + 0.5 and + 1.5
+        # lie half-way between two results and round to the even one
+        low = 10 ** (digits - 1)
+        cases = [
+            (3 << 70, 70, Decimal(3)),
+            (3 << 69, 70, Decimal("1.5")),
+            ((2 * low + 1) << 39, 40, low),
+            ((2 * low + 3) << 39, 40, low + 2),
+        ]
+        for man, shift, want in cases:
+            got = self.decide(man, 0, shift, 0, digits)
+            assert got == want
+            assert got.as_tuple() == exactly_rounded(man, shift, 0, digits).as_tuple()
+
+    @pytest.mark.parametrize("a", [0, 1, 20, -30])
+    def test_just_below_a_power_of_ten_rounds_up_to_it(self, a):
+        # 10 - 2**-120 or 10 - 2**-80 at 16 digits, times 10**(a - 1)
+        shift, digits = 120, 16
+        for below in (1, 2**40):
+            man = (10 << shift) - below
+            got = self.decide(man, 1, shift, a - 1, digits)
+            assert got == Decimal(1).scaleb(a)
+            assert got.as_tuple() == exactly_rounded(man, shift, a - 1, digits).as_tuple()
+            assert len(got.as_tuple().digits) == digits
+
+    def test_negative_values_mirror_positive_ones(self):
+        rng = random.Random(22)
+        for digits in (16, 64):
+            for _ in range(100):
+                shift = digits * 4 + 32
+                man = rng.randrange(2**shift, 2 ** (shift + 40))
+                got = self.decide(-man, 5, shift, 3, digits)
+                if got is not None:
+                    assert got == self.decide(man, 5, shift, 3, digits).copy_negate()
+                    assert got.as_tuple() == exactly_rounded(-man, shift, 3, digits).as_tuple()
+
+    @pytest.mark.parametrize("man, err", [(0, 0), (5, 5), (5, 9), (-5, 5), (-5, 9)])
+    def test_bracket_reaching_zero_is_undecided(self, man, err):
+        assert self.decide(man, err, 10, 0, 16) is None
+
+    @pytest.mark.parametrize("q", [1234567890123456, 1234567890123457, 9999999999999999])
+    def test_bracket_around_a_half_is_undecided(self, q):
+        # (q + 1/2) * 2**shift, known to within 1 unit: either neighbour
+        shift = 60
+        man = (2 * q + 1) << (shift - 1)
+        assert self.decide(man, 1, shift, 0, 16) is None
+        assert self.decide(man - 1, 0, shift, 0, 16) == q
+        assert self.decide(man + 1, 0, shift, 0, 16) == q + 1
+
+    def test_decided_brackets_round_every_point_alike(self):
+        rng = random.Random(23)
+        decided = 0
+        for _ in range(500):
+            digits = rng.choice((16, 40))
+            shift = int(digits * math.log2(10)) + 8
+            man = rng.randrange(2**shift, 2 ** (shift + 4))
+            err = rng.randrange(1, 2**8)
+            got = self.decide(man, err, shift, 0, digits)
+            if got is not None:
+                decided += 1
+                for point in (man - err, man, man + err):
+                    assert got.as_tuple() == exactly_rounded(point, shift, 0, digits).as_tuple()
+        assert 0 < decided < 500
+
+
 class TestRoundToInteger:
     def test_close_value_rounds(self):
         assert rounded(Decimal("6.000000000001"), Decimal("1e-6")) == 6

@@ -38,6 +38,10 @@ class TestDeriveKey:
         with pytest.raises(ValueError):
             derive_key(30, bits)
 
+    def test_repr_does_not_show_the_secret(self):
+        secret = 100003 * 100019 * 100043
+        assert str(secret) not in repr(derive_key(secret))
+
     def test_identical_secrets_identical_keys(self):
         secrets = [30, 30, 30]
         keys = {derive_key(s).key for s in secrets}
