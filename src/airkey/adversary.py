@@ -13,14 +13,14 @@ Each attack runs the listener step of the legitimate receivers,
 noise, and against the full-duplex exchange also its factor step
 :func:`airkey.fullduplex.factor`.  Her reception is sized like any
 exchange by :func:`airkey.halfduplex.sized_exchange`, on the ratios her
-primes reach her with; a product past ``arith.MAX_EXPONENT`` leaves it
-unsized, so ``receive`` records it as infinite.  Against a half-duplex
-round a value more than a digit above the group secret is left unsized
-too: it cannot divide the secret, so none of its digits is worth
-computing, and ``receive`` records it as infinite when ``ctx`` cannot
-resolve it.  The full-duplex attack keeps its sizing: matched taps that
-are large integer multiples of h* give her the key from a product above
-the secret.  A reception rejected with
+primes reach her with, under one ceiling for both attacks.  If every ratio
+is an integer her value is an exact product of the primes, which can be the
+key (matched integer taps on the full-duplex exchange): the ceiling is the
+exchanges' own.  Otherwise it is one digit above the larger of the group
+secret and ``psi_legit``: such a value can neither be the key, nor divide
+it, nor share a digit with ``psi_legit``.  Past the ceiling her reception is
+unsized, and ``receive`` records it as infinite when ``ctx`` cannot resolve
+it.  A reception rejected with
 ``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
 means she did not recover the key.  The report compares her reception
 with the legitimate receiver's: the gap is ``|psi_legit - eve.post_value|``
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import BigReal, PrecisionContext, leading_digit_overlap, ln
+from .arith import MAX_EXPONENT, BigReal, PrecisionContext, leading_digit_overlap, ln
 from .channel import ChannelState
 from .fullduplex import factor
 from .halfduplex import pre_process, receive, sized_exchange
@@ -65,6 +65,15 @@ class EveReport:
         self.digit_overlap = leading_digit_overlap(*values) if carried else 0
 
 
+def _ceiling(ratios: list[BigReal], secret: int, record: Reception):
+    """The decimal exponent from which Eve's reception is left unsized."""
+    if all(r == r.to_integral_value() for r in ratios):
+        return MAX_EXPONENT + 1
+    psi = record.post_value  # an infinite or zero value counts as 0 digits
+    legit = psi.adjusted() + 1 if psi.is_finite() and psi > 0 else 0
+    return max(math.log10(secret), legit) + 1
+
+
 def eve_attack_half(
     record: Reception,
     primes: list[PrimeInput],
@@ -88,21 +97,16 @@ def eve_attack_half(
             +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
             for i in transmitters
         ]
-    # a value over ten times the group secret cannot divide it, so it gets
-    # no more digits than ctx carries
-    log10s = [math.log10(p.value) for p in primes]
-    magnitude = sum(float(r) * log10s[i] for r, i in zip(ratios, transmitters))
-    if magnitude > sum(log10s) + 1:
-        work = ctx
-    else:
-        work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx)
+    secret = math.prod(p.value for p in primes)
+    ceiling = _ceiling(ratios, secret, record)
+    work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx, ceiling)
     eve = receive(None, record.signals, ch.h_eve, work, ctx.tolerance)
     key_equal = False
     if second_record is not None and eve.recovered is not None:
         second = receive(None, second_record.signals, ch.h_eve, work, ctx.tolerance)
         key_equal = second.recovered is not None and math.lcm(
             eve.recovered, second.recovered
-        ) == math.prod(p.value for p in primes)
+        ) == secret
     return EveReport(eve, record.post_value, ratios, key_equal)
 
 
@@ -124,8 +128,8 @@ def eve_attack_full(
         raise ValueError("full-duplex attack needs an integer-fading channel")
     with ctx.local():
         ratios = [+(h / ch.h_star) for h in ch.h_eve]
-    work = sized_exchange(primes, [ratios], ctx)
+    secret = math.prod(p.value for p in primes)
+    work = sized_exchange(primes, [ratios], ctx, _ceiling(ratios, secret, record))
     signals = [pre_process(ln(p.value, work), ch.h_star, work) for p in primes]
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
-    key_equal = eve.recovered == math.prod(p.value for p in primes)
-    return EveReport(eve, record.post_value, ratios, key_equal)
+    return EveReport(eve, record.post_value, ratios, eve.recovered == secret)

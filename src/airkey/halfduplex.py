@@ -53,22 +53,25 @@ def pre_process(log_p: BigReal, gain: BigReal, ctx: PrecisionContext) -> BigReal
     return ctx.ambient.divide(log_p, gain)
 
 
-def sized_exchange(primes: list[PrimeInput], columns, ctx: PrecisionContext):
+def sized_exchange(
+    primes: list[PrimeInput], columns, ctx: PrecisionContext, ceiling=MAX_EXPONENT + 1
+):
     """``ctx`` sized for the largest product prod p_i ** e_i of one exchange.
 
     ``columns`` holds one exponent column per listener: 0 or 1 per user for
     an hmac round, a column of ``ch.c`` for a full-duplex receiver, the
-    quotients h_eve[i] / h_star for the eavesdropper.  A product whose
-    decimal exponent is beyond ``MAX_EXPONENT`` or not finite leaves ``ctx``
-    unsized for the whole exchange, and never raises: :func:`receive` then
-    records each listener whose value ``ctx`` cannot resolve as infinite
-    (``not-near-integer``) without calling ``exp``.
+    ratios her primes reach the eavesdropper with.  A product whose decimal
+    exponent is not below ``ceiling`` (lower than the default only for the
+    eavesdropper) or not finite leaves ``ctx`` unsized for the whole
+    exchange, and never raises: :func:`receive` then records each listener
+    whose value ``ctx`` cannot resolve as infinite (``not-near-integer``)
+    without calling ``exp``.
     """
     log10s = [math.log10(p.value) for p in primes]
     magnitude = max(
         sum(float(e) * d for d, e in zip(log10s, column)) for column in columns
     )
-    if not magnitude < MAX_EXPONENT + 1:  # also inf and nan
+    if not magnitude < ceiling:  # also inf and nan
         return ctx
     return ctx.sized(int(magnitude) + 1)
 

@@ -102,27 +102,19 @@ def is_probable_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeInput:
-    """A user's secret prime together with its (public) digit-count policy."""
+    """A user's secret prime."""
 
     value: int
-    digit_count: int
 
     def __post_init__(self):
-        if self.digit_count < 1:
-            raise ValueError("digit_count must be positive")
-        if len(str(self.value)) != self.digit_count:
-            raise ValueError(
-                f"{self.value} does not have exactly {self.digit_count} digits"
-            )
         if not is_probable_prime(self.value):
             raise ValueError(f"{self.value} is not prime")
 
     @classmethod
-    def _tested(cls, value: int, digit_count: int) -> "PrimeInput":
+    def _tested(cls, value: int) -> "PrimeInput":
         """Build from a value the caller has already drawn and tested."""
         p = object.__new__(cls)
         object.__setattr__(p, "value", value)
-        object.__setattr__(p, "digit_count", digit_count)
         return p
 
 
@@ -139,7 +131,7 @@ def sample_prime(digit_count: int, rng: random.Random) -> PrimeInput:
     while True:
         candidate = rng.randrange(lo, hi + 1)
         if is_probable_prime(candidate):
-            return PrimeInput._tested(candidate, digit_count)
+            return PrimeInput._tested(candidate)
 
 
 # Primes with exactly d decimal digits, d = 1..8; from 9 digits on there

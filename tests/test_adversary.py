@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 
@@ -31,15 +32,19 @@ def gap(report):
         return abs(report.psi_legit - report.eve.post_value)
 
 
-def forbid_wide_ln(monkeypatch):
-    """Fail any ``ln`` the attacks take at more digits than ``CTX`` carries."""
-    real = adversary.ln
+def forbid_wide(monkeypatch):
+    """Fail any ``ln`` or ``exp`` taken at more digits than ``CTX`` carries.
 
-    def checked(x, ctx):
-        assert ctx.digits <= CTX.digits, f"ln taken at {ctx.digits} digits"
-        return real(x, ctx)
+    Patches the attacks' ``ln`` and the listener step's ``exp``.
+    """
+    for module, name in ((adversary, "ln"), (halfduplex, "exp")):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(adversary, "ln", checked)
+        def checked(x, ctx, real=real, name=name):
+            assert ctx.digits <= CTX.digits, f"{name} taken at {ctx.digits} digits"
+            return real(x, ctx)
+
+        monkeypatch.setattr(module, name, checked)
 
 
 def assert_no_recovery(report):
@@ -70,12 +75,12 @@ def fmac_setup(n, c_max, seed, taps=None, h_star=1):
 
 class TestErrorFactor:
     def test_all_ratios_one(self):
-        primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
+        primes = [PrimeInput(p) for p in (2, 3, 5)]
         assert error_factor_from_deltas(primes, [Decimal(0)] * 3, CTX) == 0
 
     def test_hand_computed(self):
         # 1 - 2^(2-1) = -1
-        assert error_factor_from_deltas([PrimeInput(2, 1)], [Decimal(1)], CTX) == -1
+        assert error_factor_from_deltas([PrimeInput(2)], [Decimal(1)], CTX) == -1
 
     def test_matches_direct_product(self):
         rng = random.Random(3)
@@ -115,7 +120,7 @@ class TestEveAttackHalf:
 
     def test_single_transmitter_power_law(self):
         # one 6-digit prime through ratio 1.001001 lands near p^1.001001
-        primes = [PrimeInput(100003, 6), PrimeInput(100019, 6)]
+        primes = [PrimeInput(100003), PrimeInput(100019)]
         ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         ch = ch.with_eve_taps([Decimal("1.001001"), Decimal("1.001001")])
         record = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX).rounds[1]
@@ -180,13 +185,7 @@ class TestEveAttackHalf:
         # ratios in the thousands give her round tens of thousands of
         # digits; being far above the secret, it is recorded as infinite
         # with no exp wider than the context
-        real = halfduplex.exp
-
-        def checked(x, ctx):
-            assert ctx.digits <= CTX.digits, f"exp taken at {ctx.digits} digits"
-            return real(x, ctx)
-
-        monkeypatch.setattr(halfduplex, "exp", checked)
+        forbid_wide(monkeypatch)
         c = ExperimentConfig(n_users=3, precision_digits=CTX.digits, eve=True,
                              eve_taps="rayleigh", eve_rayleigh_scale=1e4,
                              trials=1, seed=1).validate()
@@ -224,6 +223,48 @@ class TestEveAttackFull:
         assert report.key_equal
         assert all(r == 2 for r in report.ratios)
 
+    def test_integer_taps_above_the_secret_succeed(self):
+        # taps 8 h_star: her product, the secret to the eighth, lies far above
+        # the secret, psi_legit and what CTX resolves, yet being exact it is
+        # the key
+        primes, ch = fmac_setup(
+            3, 3, 9, taps=lambda ch, rng: [8 * ch.h_star for _ in range(3)]
+        )
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
+        report = eve_attack_full(obs[0], primes, ch, CTX)
+        secret = math.prod(p.value for p in primes)
+        assert report.eve.post_value > 10 * max(secret, report.psi_legit)
+        assert report.key_equal
+        assert dict(report.eve.exponent_map.factors) == {p.value: 8 for p in primes}
+
+    def test_value_above_the_secret_is_not_exponentiated(self, monkeypatch):
+        # Rayleigh taps near 10**4 h_star give her a product of about 10**5
+        # digits; not being an exact product of the primes, it is recorded as
+        # infinite with no log or exp wider than the context
+        primes, ch = fmac_setup(
+            3, 3, 1, taps=lambda ch, rng: rayleigh_taps(3, 10**4, rng)
+        )
+        obs = run_protocol_fmac(primes, ch, CTX).rounds
+        forbid_wide(monkeypatch)
+        report = eve_attack_full(obs[0], primes, ch, CTX)
+        assert_no_recovery(report)
+        assert report.digit_overlap == 0
+
+    def test_value_near_psi_legit_keeps_its_digits(self):
+        # taps a hair off the legitimate gains: her value lies near psi_legit,
+        # which has more digits than the secret and than a 32-digit context
+        # resolves, so her reception is sized and shares its leading digits
+        ctx = PrecisionContext(32)
+        primes, ch = fmac_setup(4, 4, 15)
+        ch = ch.with_eve_taps([Decimal("1e-40")] + [
+            ch.h[i][0] * (1 + Decimal("1e-30")) for i in range(1, 4)
+        ])
+        obs = run_protocol_fmac(primes, ch, ctx).rounds
+        report = eve_attack_full(obs[0], primes, ch, ctx)
+        assert report.psi_legit > 10 * math.prod(p.value for p in primes)
+        assert report.digit_overlap > 20
+        assert not report.key_equal
+
     def test_rayleigh_taps_fail(self):
         for seed in range(20):
             primes, ch = fmac_setup(
@@ -238,7 +279,7 @@ class TestEveAttackFull:
         # h_eve/h_star = (2.001, 1.999) on primes (3, 5) with c = 2
         from dataclasses import replace
 
-        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        primes = [PrimeInput(3), PrimeInput(5)]
         ch = draw_channel(2, FadingModel.integer(1), 1, 0, random.Random(0))
         h = ((Decimal(0), Decimal(2)), (Decimal(2), Decimal(0)))
         ch = replace(ch, h=h, c=((0, 2), (2, 0)))
@@ -260,7 +301,7 @@ class TestEveAttackFull:
             3, 3, 12, taps=lambda ch, rng: [10**6 * ch.h_star for _ in range(3)]
         )
         obs = run_protocol_fmac(primes, ch, CTX).rounds
-        forbid_wide_ln(monkeypatch)
+        forbid_wide(monkeypatch)
         assert_no_recovery(eve_attack_full(obs[0], primes, ch, CTX))
 
     def test_reference_gain_below_float_range(self):
@@ -280,7 +321,7 @@ class TestEveAttackFull:
             h_star=Decimal("1e-400"),
         )
         obs = run_protocol_fmac(primes, ch, CTX).rounds
-        forbid_wide_ln(monkeypatch)
+        forbid_wide(monkeypatch)
         assert_no_recovery(eve_attack_full(obs[0], primes, ch, CTX))
 
     def test_factored_identity(self):

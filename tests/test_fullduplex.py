@@ -48,7 +48,7 @@ class TestPreProcess:
 
 class TestRunFullRound:
     def test_two_users_c_two(self):
-        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        primes = [PrimeInput(3), PrimeInput(5)]
         ch = forced_c_channel(2, 2)
         obs = run_protocol_fmac(primes, ch, CTX).rounds
         assert obs[1].exponent_map.factors == ((3, 2),)
@@ -56,7 +56,7 @@ class TestRunFullRound:
         assert obs[0].exponent_map.factors == ((5, 2),)
 
     def test_three_users_all_c_one(self):
-        primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
+        primes = [PrimeInput(p) for p in (2, 3, 5)]
         obs = run_protocol_fmac(primes, forced_c_channel(3, 1), CTX).rounds
         assert obs[0].exponent_map.factors == ((3, 1), (5, 1))
         assert obs[0].recovered == 15
@@ -79,13 +79,11 @@ class TestRunFullRound:
     def test_requires_integer_channel(self):
         ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(0))
         with pytest.raises(ValueError):
-            run_protocol_fmac([PrimeInput(2, 1), PrimeInput(3, 1)], ch, CTX)
+            run_protocol_fmac([PrimeInput(2), PrimeInput(3)], ch, CTX)
 
     def test_duplicate_primes_rejected(self):
         with pytest.raises(DuplicatePrimeDetected):
-            run_protocol_fmac(
-                [PrimeInput(3, 1), PrimeInput(3, 1)], forced_c_channel(2, 1), CTX
-            )
+            run_protocol_fmac([PrimeInput(3), PrimeInput(3)], forced_c_channel(2, 1), CTX)
 
     def test_product_beyond_exponent_bound_takes_no_wide_log(self, monkeypatch):
         # c = 300000 on 6-digit primes: a product of millions of digits.  The
@@ -109,14 +107,14 @@ class TestRunFullRound:
 class TestRecoverSecret:
     def test_trivial(self):
         # c = 1: the radical is the recovered product itself
-        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        primes = [PrimeInput(3), PrimeInput(5)]
         t = run_protocol_fmac(primes, forced_c_channel(2, 1), CTX)
         assert t.rounds[1].exponent_map.factors == ((3, 1),)
         assert t.per_user_secret[1] == 15
 
     def test_radical_ignores_exponents(self):
         # c = 2: receivers hear 5^2 and 3^2, and keep only the primes
-        primes = [PrimeInput(3, 1), PrimeInput(5, 1)]
+        primes = [PrimeInput(3), PrimeInput(5)]
         t = run_protocol_fmac(primes, forced_c_channel(2, 2), CTX)
         assert [r.exponent_map.factors for r in t.rounds] == [((5, 2),), ((3, 2),)]
         assert [r.recovered for r in t.rounds] == [5, 3]
@@ -134,7 +132,7 @@ class TestRecoverSecret:
 
 class TestProtocol:
     def test_two_users_single_round(self):
-        primes = [PrimeInput(2, 1), PrimeInput(3, 1)]
+        primes = [PrimeInput(2), PrimeInput(3)]
         t = run_protocol_fmac(primes, forced_c_channel(2, 1), CTX)
         assert t.per_user_secret == [6, 6]
         assert t.rounds_used == 1

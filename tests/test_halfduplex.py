@@ -86,7 +86,7 @@ class TestPreProcess:
 
 class TestRunRound:
     def test_ideal_three_users(self):
-        primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
+        primes = [PrimeInput(p) for p in (2, 3, 5)]
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         record = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX).rounds[0]
         assert record.recovered == 15
@@ -121,7 +121,7 @@ class TestRunRound:
         primes, ch, csi, _ = make_setup(4, FadingModel.rayleigh(1), 2)
         before = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
         sentinel = primes[:]
-        sentinel[0] = PrimeInput(999983, 6)
+        sentinel[0] = PrimeInput(999983)
         after = run_protocol_hmac(sentinel, ch, csi, CTX).rounds[0]
         assert before.recovered == after.recovered
 
@@ -151,7 +151,7 @@ class TestReceive:
 
 class TestDeriveSecret:
     def test_folds_own_prime(self):
-        primes = [PrimeInput(p, 1) for p in (2, 3, 5)]
+        primes = [PrimeInput(p) for p in (2, 3, 5)]
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         t = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX)
         assert t.rounds[0].recovered == 15
@@ -166,7 +166,7 @@ class TestDeriveSecret:
 
 class TestProtocol:
     def test_two_users_ideal(self):
-        primes = [PrimeInput(2, 1), PrimeInput(3, 1)]
+        primes = [PrimeInput(2), PrimeInput(3)]
         ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         t = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX)
         assert t.per_user_secret == [6, 6]
@@ -247,7 +247,7 @@ class TestProtocol:
     def test_prime_count_must_match_users(self):
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, random.Random(0))
         with pytest.raises(ValueError):
-            run_protocol_hmac([PrimeInput(2, 1)], ch, estimate_csi(ch), CTX)
+            run_protocol_hmac([PrimeInput(2)], ch, estimate_csi(ch), CTX)
 
     def test_transcript_json(self):
         import json

@@ -116,7 +116,7 @@ class TestPrimality:
         psi_12 = 318_665_857_834_031_151_167_461
         assert psi_12 == 399_165_290_221 * 798_330_580_441
         with pytest.raises(ValueError, match="not prime"):
-            PrimeInput(psi_12, 24)
+            PrimeInput(psi_12)
 
     @pytest.mark.parametrize("psi", PSI)
     def test_first_prime_above_each_bound_reads_prime(self, psi):
@@ -140,15 +140,11 @@ class TestPrimality:
 
 class TestPrimeInput:
     def test_valid(self):
-        assert PrimeInput(100003, 6).value == 100003
-
-    def test_digit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            PrimeInput(100003, 5)
+        assert PrimeInput(100003).value == 100003
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
-            PrimeInput(100001, 6)  # 11 * 9091
+            PrimeInput(100001)  # 11 * 9091
 
 
 class TestSampling:
@@ -156,7 +152,6 @@ class TestSampling:
         rng = random.Random(5)
         for d in range(1, 10):
             p = sample_prime(d, rng)
-            assert p.digit_count == d
             assert len(str(p.value)) == d
             assert trial_division_is_prime(p.value)
 
