@@ -34,11 +34,30 @@ carried digits; when they disagree the result is computed again with twice
 the guard bits (Ziv's test).  Results are therefore correctly rounded,
 within 0.5 ulp and inside the 2-ulp contract, and equal libmpdec's
 ``Decimal.ln``/``Decimal.exp`` digit for digit and exponent for exponent.
+
+Two cheaper reductions come first where they apply, each decided by its
+own error bracket in the same way:
+
+- The log of an integer n below 10**12 is that of its nearest 7-smooth
+  neighbour s, a sum of the logs of 2, 3, 5 and 7, plus
+  2 atanh((n - s) / (n + s)), whose series terms each cost linear time.
+  Those four logs and ln 10 come from the same four cached acoth sums.
+  Other integers and every non-integer take the general kernel.
+- :func:`integer_logs` keeps an exchange's logs in fixed point, and a
+  listener hands ``exp`` its product P with ln P from them
+  (:meth:`IntegerLogs.near`).  When x - ln P is tiny, e**x =
+  P e**(x - ln P) takes two terms of a series; otherwise, or when that
+  bracket does not decide, the general kernel runs.  The identity holds
+  for every P, so the hint is an argument reduction whose result the
+  bracket decides: the product, which a simulator takes from its own
+  exponents, can change how fast a result comes, never a digit of it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -52,6 +71,7 @@ from decimal import (
     localcontext,
 )
 from functools import cache
+from typing import NamedTuple
 
 from .errors import NonPositiveInput, Overflow
 
@@ -162,18 +182,104 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
         raise NonPositiveInput(f"ln requires a positive finite input, got {x}")
     if x == 1:
         return Decimal(0)
+    return _correctly_rounded(_ln_kernel_of(x), ctx.digits)
+
+
+def _ln_kernel_of(x: Decimal):
+    """The kernel that computes ln x at w bits, as a function of w.
+
+    An integer below 10**12 takes the log of its nearest 7-smooth neighbour
+    plus a short series; every other value the general kernel.
+    """
     e = x.as_tuple().exponent
     c = int(x.scaleb(-e, EXACT))
+    adjusted = x.adjusted()
+    if 0 <= adjusted < 12 and (e >= 0 or c % 10**-e == 0):
+        n = c * 10**e if e >= 0 else c // 10**-e
+        near = _smooth_neighbour(n)
+        if near is not None:
+            return lambda w: _ln_smooth_kernel(n, *near, w)
     # Split off the decimal exponent away from 1, where ln x = ln(x/10^j) +
     # j ln 10 cannot cancel; near 1 keep x whole so no power of 10 is huge.
-    adjusted = x.adjusted()
     j = adjusted if abs(adjusted) > 1 else 0
     f = e - j
     num, den = (c * 10**f, 1) if f >= 0 else (c, 10**-f)
-    return _correctly_rounded(lambda w: _ln_kernel(num, den, j, w), ctx.digits)
+    return lambda w: _ln_kernel(num, den, j, w)
 
 
-def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
+class Near(NamedTuple):
+    """A product of powers n**e and its log times 2**bits, within ``err`` units.
+
+    :meth:`IntegerLogs.near` builds it; :func:`exp` reduces by it, and
+    multiplies the product out only once its log is near the argument.
+    """
+
+    powers: tuple[tuple[int, int], ...]
+    log: int
+    err: int
+    bits: int
+
+    @property
+    def product(self) -> int:
+        return math.prod(n**e for n, e in self.powers)
+
+
+@dataclass(frozen=True)
+class IntegerLogs:
+    """ln n_i of integers n_i >= 2, correctly rounded and in fixed point.
+
+    ``values[i]`` is ``ln(integers[i], ctx)`` digit for digit; ``fixed[i]``
+    is ln n_i times 2**bits within ``errors[i]`` units, the kernel's result
+    at the first width of Ziv's loop, from which ``values[i]`` was rounded.
+    """
+
+    integers: tuple[int, ...]
+    values: tuple[Decimal, ...]
+    fixed: tuple[int, ...]
+    errors: tuple[int, ...]
+    bits: int
+
+    def near(self, column) -> Near:
+        """The powers ``integers[i] ** column[i]`` and their product's log.
+
+        The exponents are non-negative ints (or bools).  The log is the
+        same sum of ``fixed`` logs, so it is within the summed errors of
+        ln of that product, whatever the exponents.
+        """
+        powers, log, err = [], 0, 0
+        for n, e, f, r in zip(self.integers, column, self.fixed, self.errors):
+            if e:
+                powers.append((n, e))
+                log += e * f
+                err += e * r
+        return Near(tuple(powers), log, err, self.bits)
+
+
+def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
+    """One log per integer at ``ctx``, kept in fixed point for :func:`exp`.
+
+    Each kernel runs once, at the first width of Ziv's loop; a log whose
+    rounding that width leaves undecided runs the loop, as ``ln`` would.
+    """
+    bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
+    values, fixed, errors = [], [], []
+    for n in integers:
+        if n < 2:
+            raise NonPositiveInput(f"integer_logs needs integers >= 2, got {n}")
+        kernel = _ln_kernel_of(Decimal(n))
+        man, err, _, _ = kernel(bits)  # an integer's kernel keeps w = bits
+        value = _round_half_even(man, err, bits, 0, ctx.digits)
+        if value is None:
+            value = _correctly_rounded(kernel, ctx.digits)
+        values.append(value)
+        fixed.append(man)
+        errors.append(err)
+    return IntegerLogs(
+        tuple(integers), tuple(values), tuple(fixed), tuple(errors), bits
+    )
+
+
+def exp(x: BigReal, ctx: PrecisionContext, near: Near | None = None) -> BigReal:
     """e**x, correctly rounded to ``ctx.digits``.
 
     The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
@@ -182,6 +288,13 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
     integer digits than that is rounded in its integer part, so callers
     size ``ctx`` first.  A result whose decimal exponent lies beyond
     ``MAX_EXPONENT`` raises :class:`Overflow`.
+
+    ``near``, from :meth:`IntegerLogs.near`, is an integer P, a product of
+    powers, with ln P in fixed point.  When x - ln P is tiny, e**x =
+    P e**(x - ln P) takes two terms of a series; its error bracket decides
+    the rounding as the kernel's does, and otherwise the kernel runs.  The
+    identity holds for every P, so ``near`` changes how fast the result
+    comes, never a digit.
     """
     x = to_bigreal(x)
     if not x.is_finite():
@@ -194,6 +307,11 @@ def exp(x: BigReal, ctx: PrecisionContext) -> BigReal:
         raise Overflow(f"result exponent {magnitude} exceeds bound {MAX_EXPONENT}")
     if x.is_zero():
         return Decimal(1)
+    bracket = None if near is None else _exp_near(x, near)
+    if bracket is not None:
+        result = _round_half_even(*bracket, ctx.digits)
+        if result is not None:
+            return result
     # bits that x / ln 2 and the reduction's error take up: 2**nb >= 4 (|x| + 16)
     nb = (int(abs(approx)) + 16).bit_length() + 2
     return _correctly_rounded(lambda w: _exp_kernel(x, nb, w), ctx.digits)
@@ -212,13 +330,25 @@ _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
 _ZIV_GUARD = 32  # guard bits of the first try
 
-# Machin-type formulas: ln 2 and ln 10 as sums of c * acoth(q).
+# ln 2, 3, 5 and 7 as integer combinations of the four sums 2 acoth(q) for
+# q = 251, 449, 4801 and 8749, that is ln(126/125), ln(225/224),
+# ln(2401/2400) and ln(4375/4374) (Brent and Zimmermann ch. 4).  Their
+# exponent matrix over 2, 3, 5 and 7 has determinant -1, so it has an
+# integral inverse, whose rows these are; ln 10 = ln 2 + ln 5.
+_ACOTH_Q = (251, 449, 4801, 8749)
 _MACHIN = {
-    "ln2": ((18, 26), (-2, 4801), (8, 8749)),
-    "ln10": ((46, 31), (34, 49), (20, 161)),
+    "ln2": (72, 27, -19, 31),
+    "ln3": (114, 43, -30, 49),
+    "ln5": (167, 63, -44, 72),
+    "ln7": (202, 76, -53, 87),
 }
-# name -> (constant * 2**bits, bits), at the widest precision computed so far
-_CONSTANTS: dict[str, tuple[int, int]] = {}
+_MACHIN["ln10"] = tuple(a + b for a, b in zip(_MACHIN["ln2"], _MACHIN["ln5"]))
+# (bits, {name: constant * 2**bits}) at the widest precision computed so far
+_CONSTANTS: tuple[int, dict[str, int]] = (0, {})
+# 7-smooth integers up to 2**bits, sorted: (bits, table), extended on demand
+# up to 2**_SMOOTH_BITS, which every integer below 10**12 lies under
+_SMOOTH_BITS = 40
+_SMOOTH: tuple[int, array] = (0, array("Q"))
 
 
 def _acoth(q: int, w: int) -> int:
@@ -234,18 +364,63 @@ def _acoth(q: int, w: int) -> int:
 
 
 def _constant(name: str, w: int) -> int:
-    """ln 2 or ln 10 times 2**w, within 3 units.
+    """ln 2, 3, 5, 7 or 10 times 2**w, within 3 units.
 
-    Computed on first use and kept at the widest precision asked for so
-    far; narrower requests shift it down.
+    All five come from the same four sums 2 acoth(q), computed on first use
+    and kept at the widest precision asked for so far; narrower requests
+    shift them down.  At v = bits + extra bits a sum of n terms is low by
+    less than 2 (n + 2) units, n <= v / 15 + 1 for q >= 251, and the
+    coefficients of a row add up to at most 495 in absolute value, so a
+    row is off by less than 66 v + 3000 units of 2**-v.  With 2**extra >
+    1024 bits and bits >= 86 that is below 0.2 units of 2**-bits, and each
+    shift down adds less than 1.
     """
-    value, bits = _CONSTANTS.get(name, (0, 0))
+    global _CONSTANTS
+    bits, values = _CONSTANTS
     if bits < w:
         bits = max(w, 2 * bits)
-        extra = bits.bit_length() + 10  # the acoth sums' error stays below 1.2
-        value = sum(c * _acoth(q, bits + extra) for c, q in _MACHIN[name]) >> extra
-        _CONSTANTS[name] = value, bits
-    return value >> (bits - w)
+        extra = bits.bit_length() + 10
+        sums = [2 * _acoth(q, bits + extra) for q in _ACOTH_Q]
+        values = {
+            key: sum(c * a for c, a in zip(row, sums)) >> extra
+            for key, row in _MACHIN.items()
+        }
+        _CONSTANTS = bits, values
+    return values[name] >> (bits - w)
+
+
+def _smooth_neighbour(n: int):
+    """The 7-smooth integer nearest ``n`` and its exponents of 2, 3, 5, 7.
+
+    None for ``n`` beyond the table.  The table is built on first use up
+    to the power of 256 above ``n`` and extended in such steps, so it holds
+    only the range the caller's integers reach: 2 402 entries (19 KB) for
+    primes of up to seven digits, 14 855 (116 KB) at its widest, 2**40.
+    """
+    global _SMOOTH
+    bits = -(-(n - 1).bit_length() // 8) * 8  # 2**bits >= n
+    if bits > _SMOOTH_BITS:
+        return None
+    if _SMOOTH[0] < bits:
+        table = [1]
+        for q in (2, 3, 5, 7):
+            grown = []
+            for v in table:
+                while v <= 1 << bits:
+                    grown.append(v)
+                    v *= q
+            table = grown
+        _SMOOTH = bits, array("Q", sorted(table))
+    table = _SMOOTH[1]
+    i = bisect_left(table, n)  # table[i] >= n, since 2**bits >= n is smooth
+    s = table[i] if i == 0 or table[i] - n < n - table[i - 1] else table[i - 1]
+    exps, rest = [], s
+    for q in (2, 3, 5, 7):
+        exps.append(0)
+        while rest % q == 0:
+            rest //= q
+            exps[-1] += 1
+    return s, exps
 
 
 def _exp_fixed(t: int, w: int) -> tuple[int, int]:
@@ -336,6 +511,61 @@ def _ln_kernel(num: int, den: int, j: int, w: int):
         man += logs >> kb
     # z is within err + 2 units, each series term within 2
     return man, 3 * err + 2 * i + 12, w, 0
+
+
+def _ln_smooth_kernel(n: int, s: int, exps, w: int):
+    """ln n as (man, err, w, 0) from s, a 7-smooth integer near n.
+
+    ln n = sum e_q ln q + 2 atanh(z), z = (n - s) / (n + s), where |z| <=
+    1/21 for the nearest s (n = 11).  Each series term is the last times
+    (n - s)**2 // (n + s)**2, a product and a quotient of a w-bit int by
+    short ones, so a term costs linear time, and gains at least 8.7 bits.
+    A term is within 1.01 units, since z**2 <= 1/441 damps earlier errors,
+    and dividing it by i adds 1; the tail left when a term reaches 0 is
+    below 1.  The logs of 2, 3, 5 and 7 are summed at kb more bits, which
+    keep their error below 1 unit.
+    """
+    d, t = abs(n - s), n + s
+    d2, t2 = d * d, t * t
+    term = series = (d << w) // t
+    i = 1
+    while term:
+        term = term * d2 // t2
+        i += 2
+        series += term // i
+    kb = sum(exps).bit_length() + 2
+    wide = w + kb
+    names = ("ln2", "ln3", "ln5", "ln7")
+    logs = sum(e * _constant(name, wide) for e, name in zip(exps, names))
+    man = (logs >> kb) + 2 * (series if n >= s else -series)
+    return man, 2 * i + 8, w, 0
+
+
+def _exp_near(x: Decimal, near: Near):
+    """e**x as P e**d, d = x - ln P, in (man, err, shift, 0) form, or None.
+
+    With x read at w = ``near.bits`` bits, D = (x - ln P) * 2**w is within
+    e = err + 2 units.  When |D| + e < 2**(2w/3), 1 + d + d**2 / 2 leaves
+    out less than 0.2 units and the square's error is below e, so
+    E = 2**w + D + D**2 / 2**(w+1) is within 2e + 2 units of e**d * 2**w.
+    P E is then scaled to about w bits.  None when d is not that small or
+    P is wider than w bits.
+    """
+    _, log, err, w = near
+    k = int(w * _LOG10_2) + 2
+    # x * 10**k truncated, so X is within 1.1 units of x * 2**w
+    X = (int(x.scaleb(k, EXACT)) << w) // 10**k
+    D = X - log
+    e = err + 2
+    if (abs(D) + e) >> (2 * w // 3):
+        return None
+    product = near.product
+    s = product.bit_length() - 1
+    if s > w:
+        return None
+    E = (1 << w) + D + ((D * D) >> (w + 1))
+    # P < 2**(s+1), so shifting P E by s bits leaves it within 2 (2e + 2) + 1
+    return (product * E) >> s, 4 * e + 5, w - s, 0
 
 
 def _correctly_rounded(kernel, digits: int) -> Decimal:

@@ -14,13 +14,19 @@ which rejects a value with ``not-near-integer`` or ``not-a-prime-product``,
 then the factor step :func:`factor`, which rejects a product whose cofactor
 resists the effort budget with ``factor-bound-exceeded``.  The
 eavesdropper's full-duplex attack runs the same two steps.
+
+Each receiver's ``exp`` is reduced by the product its column of c names,
+with that product's log summed from the exchange's fixed-point logs of
+the primes.  It is an argument reduction whose result the kernel's error
+bracket decides, so the column changes how fast the value comes, never a
+digit of it; noise takes the full kernel.
 """
 
 from __future__ import annotations
 
 import random
 
-from .arith import PrecisionContext, ln
+from .arith import PrecisionContext, integer_logs
 from .channel import ChannelState
 from .errors import DuplicatePrimeDetected, FactorBoundExceeded
 from .halfduplex import pre_process, receive, sized_exchange
@@ -73,12 +79,14 @@ def run_protocol_fmac(
         raise ValueError("need one prime per user")
     _check_distinct(primes)
     # the zero diagonal of c drops each receiver's own prime
-    work = sized_exchange(primes, zip(*ch.c), ctx)
-    signals = [pre_process(ln(p.value, work), ch.h_star, work) for p in primes]
+    columns = list(zip(*ch.c))
+    work = sized_exchange(primes, columns, ctx)
+    logs = integer_logs([p.value for p in primes], work)
+    signals = [pre_process(log, ch.h_star, work) for log in logs.values]
     rounds = [
         factor(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
-            ch.noise_variance, rng,
+            ch.noise_variance, rng, logs.near(columns[j]),
         ))
         for j in range(ch.n_users)
     ]

@@ -20,12 +20,21 @@ place.  Every exchange, of either scheme, and every eavesdropper reception
 is sized once by :func:`sized_exchange`: it is carried at
 ``max(digits, m + T + 2 * GUARD)`` digits, where ``m`` is the number of
 integer digits of the largest product any of its listeners hears, so each
-prime's log is taken once per run.  ``exp`` never widens, so
+prime's log is taken once per run, by :func:`airkey.arith.integer_logs`,
+which keeps it in fixed point too.  ``exp`` never widens, so
 :func:`receive` rejects a value whose integer part its context cannot
 resolve to the tolerance.  The tolerance stays ``ctx.tolerance = 10**-T``.
 Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``, by
 that precision's shared context (``ctx.ambient``) rather than by entering
 a local context per signal.
+
+A legitimate listener passes ``receive`` the product its exponent column
+names with that product's log (``near``), and ``exp`` reduces its
+argument by them.  This is an argument reduction whose result the same
+error bracket decides: when the observation is not close to the log, as
+with noise or CSI error, or the bracket does not decide, ``exp`` runs its
+full kernel, so the product changes how fast a value comes, never a digit
+of it.  The eavesdropper passes none.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ import math
 import random
 from decimal import Decimal
 
-from .arith import GUARD, MAX_EXPONENT, BigReal, PrecisionContext, exp, ln
-from .arith import nearest_integer
+from .arith import GUARD, MAX_EXPONENT, BigReal, Near, PrecisionContext, exp
+from .arith import integer_logs, nearest_integer
 from .channel import ChannelState, superpose
 from .errors import NonPositiveGain, Overflow
 from .integers import PrimeInput
@@ -84,6 +93,7 @@ def receive(
     tol: BigReal,
     noise_variance=0,
     rng: random.Random | None = None,
+    near: Near | None = None,
 ) -> Reception:
     """One listener's reception: superpose, exponentiate, round, check.
 
@@ -97,13 +107,16 @@ def receive(
     (``not-near-integer``) without calling ``exp``; a sized exchange leaves
     every valid product GUARD digits below that, so none gets there.
     A value whose decimal exponent is below ``-arith.MAX_EXPONENT`` is
-    recorded as 0 (``not-a-prime-product``).
+    recorded as 0 (``not-a-prime-product``).  ``near``, from
+    :meth:`airkey.arith.IntegerLogs.near`, goes to ``exp``.
     """
     observation = superpose(signals, taps, noise_variance, rng)
     resolved = work.digits + tol.adjusted() - GUARD  # integer digits
     unresolved = float(observation) >= resolved * math.log(10)
     try:
-        post_value = Decimal("Infinity") if unresolved else exp(observation, work)
+        post_value = (
+            Decimal("Infinity") if unresolved else exp(observation, work, near)
+        )
     except Overflow:
         post_value = Decimal("Infinity" if observation > 0 else 0)
     nearest, distance = (
@@ -142,16 +155,17 @@ def run_protocol_hmac(
     if len(primes) != n:
         raise ValueError("need one prime per user")
     # in round j every user but j transmits
-    work = sized_exchange(primes, [[i != j for i in range(n)] for j in range(n)], ctx)
-    logs = [ln(p.value, work) for p in primes]
+    columns = [[i != j for i in range(n)] for j in range(n)]
+    work = sized_exchange(primes, columns, ctx)
+    logs = integer_logs([p.value for p in primes], work)
     rounds = []
     for j in range(n):
         signals = [
-            None if i == j else pre_process(logs[i], h_hat[i][j], work)
+            None if i == j else pre_process(logs.values[i], h_hat[i][j], work)
             for i in range(n)
         ]
         rounds.append(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
-            ch.noise_variance, rng,
+            ch.noise_variance, rng, logs.near(columns[j]),
         ))
     return ProtocolTranscript.of("hmac", n, primes, rounds)

@@ -421,3 +421,104 @@ class TestPrecisionContext:
     def test_text_round_trip(self):
         v = ln(100003, CTX)
         assert Decimal(str(v)) == v
+
+
+def _kernel_name(x) -> str:
+    """Which ln kernel ``x`` takes: the smooth-neighbour one or the general."""
+    return arith._ln_kernel_of(Decimal(x)).__code__.co_names[0]
+
+
+class TestSmoothNeighbourLn:
+    """ln of an integer from its nearest 7-smooth neighbour, against libmpdec."""
+
+    @pytest.mark.parametrize("digits", [16, 64, 384, 1700])
+    def test_primes_of_one_to_twelve_digits(self, digits):
+        rng = random.Random(digits + 1)
+        ctx = PrecisionContext(digits)
+        for d in range(1, 13):
+            for _ in range(2 if digits == 1700 else 5):
+                p = sample_prime(d, rng).value
+                assert _kernel_name(p) == "_ln_smooth_kernel"
+                got = ln(p, ctx)
+                assert got.as_tuple() == Decimal(p).ln(libmpdec(digits)).as_tuple(), p
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 2**40, 2**11 * 3**5 * 5**3 * 7**2])
+    @pytest.mark.parametrize("digits", [16, 64, 384])
+    def test_smooth_integers_take_no_series(self, n, digits):
+        # z = 0: the result is the sum of the cached logs of 2, 3, 5 and 7
+        s, exps = arith._smooth_neighbour(n)
+        assert s == n and n == 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * 7 ** exps[3]
+        got = ln(n, PrecisionContext(digits))
+        assert got.as_tuple() == Decimal(n).ln(libmpdec(digits)).as_tuple()
+
+    @pytest.mark.parametrize("x", ["11", "7.000", "1E+11", "999999999989", "4.2E+6"])
+    def test_integral_decimals_in_any_form(self, x):
+        assert _kernel_name(x) == "_ln_smooth_kernel"
+        for digits in (16, 200):
+            got = ln(Decimal(x), PrecisionContext(digits))
+            assert got.as_tuple() == Decimal(x).ln(libmpdec(digits)).as_tuple()
+
+    @pytest.mark.parametrize("x", [10**12 + 39, 2**89 - 1, "12.5", "0.5"])
+    def test_beyond_the_table_and_non_integers_fall_back(self, x):
+        assert _kernel_name(x) == "_ln_kernel"
+        for digits in (16, 384):
+            got = ln(Decimal(x), PrecisionContext(digits))
+            assert got.as_tuple() == Decimal(x).ln(libmpdec(digits)).as_tuple()
+
+    def test_table_bounds_the_series_argument_and_its_size(self):
+        # the kernel's error bound assumes |z| <= 1/21 for every integer the
+        # table reaches; the worst integer between two neighbours is the
+        # one nearest their midpoint
+        arith._smooth_neighbour(2**40)
+        bits, table = arith._SMOOTH
+        assert bits == arith._SMOOTH_BITS and table[-1] == 2**40
+        assert len(table) * table.itemsize < 200_000
+        worst = 0
+        for a, b in zip(table, table[1:]):
+            n = (a + b) // 2
+            s = a if n - a <= b - n else b
+            worst = max(worst, abs(n - s) / (n + s))
+        assert worst == 1 / 21
+
+    def test_undecided_roundings_are_retried(self, monkeypatch):
+        monkeypatch.setattr(arith, "_ZIV_GUARD", 6)
+        calls = {"all": 0, "undecided": 0}
+        decide = arith._round_half_even
+
+        def counted(*args):
+            calls["all"] += 1
+            result = decide(*args)
+            calls["undecided"] += result is None
+            return result
+
+        monkeypatch.setattr(arith, "_round_half_even", counted)
+        rng = random.Random(9)
+        for digits in (16, 64, 384):
+            ctx = PrecisionContext(digits)
+            for _ in range(30):
+                p = sample_prime(rng.randrange(1, 13), rng).value
+                want = Decimal(p).ln(libmpdec(digits))
+                assert ln(p, ctx).as_tuple() == want.as_tuple()
+        assert calls["undecided"] > 0
+
+
+class TestMachinBasis:
+    """ln 2, 3, 5, 7 and 10 from the same four acoth sums."""
+
+    def test_rows_invert_the_exponent_matrix(self):
+        # 2 acoth(q) = ln((q + 1) / (q - 1)) for 126/125, 225/224,
+        # 2401/2400 and 4375/4374, as exponents of 2, 3, 5 and 7
+        matrix = [(1, 2, -3, 1), (-5, 2, 2, -1), (-5, -1, -2, 4), (-1, -7, 4, 1)]
+        rows = [arith._MACHIN[name] for name in ("ln2", "ln3", "ln5", "ln7")]
+        for i, row in enumerate(rows):
+            for j in range(4):
+                assert sum(row[k] * matrix[k][j] for k in range(4)) == (i == j)
+        ln10 = arith._MACHIN["ln10"]
+        assert ln10 == tuple(a + b for a, b in zip(rows[0], rows[2]))
+
+    @pytest.mark.parametrize("w", [86, 300, 1333, 5700])
+    def test_constants_within_three_units(self, w):
+        oracle = libmpdec(int(w * math.log10(2)) + 30)
+        for name, q in (("ln2", 2), ("ln3", 3), ("ln5", 5), ("ln7", 7), ("ln10", 10)):
+            exact = oracle.multiply(Decimal(q).ln(oracle), 2**w)
+            assert abs(arith._constant(name, w) - exact) < 3, (name, w)

@@ -89,13 +89,13 @@ class TestRunFullRound:
         # c = 300000 on 6-digit primes: a product of millions of digits.  The
         # bound is checked where the digits are decided, so every receiver
         # is recorded as infinite and no log is taken at that width.
-        real = fullduplex.ln
+        real = fullduplex.integer_logs
 
-        def narrow_ln(x, ctx):
+        def narrow_logs(integers, ctx):
             assert ctx.digits <= CTX.digits, f"ln taken at {ctx.digits} digits"
-            return real(x, ctx)
+            return real(integers, ctx)
 
-        monkeypatch.setattr(fullduplex, "ln", narrow_ln)
+        monkeypatch.setattr(fullduplex, "integer_logs", narrow_logs)
         primes, _ = sample_distinct_primes(3, 6, random.Random(0))
         t = run_protocol_fmac(primes, forced_c_channel(3, 300_000), CTX)
         for r in t.rounds:

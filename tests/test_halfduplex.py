@@ -20,6 +20,7 @@ from airkey import (
     run_protocol_hmac,
     sample_distinct_primes,
 )
+from airkey.arith import integer_logs
 
 CTX = PrecisionContext(64)
 
@@ -134,7 +135,7 @@ class TestReceive:
         # 1e-16 (T = 16); a 33-digit result would read as an exact integer
         calls = []
         monkeypatch.setattr(
-            halfduplex, "exp", lambda x, ctx: calls.append(x) or exp(x, ctx)
+            halfduplex, "exp", lambda x, ctx, near: calls.append(x) or exp(x, ctx, near)
         )
 
         def heard(value):
@@ -203,11 +204,11 @@ class TestProtocol:
 
         calls = []
 
-        def counting_ln(x, ctx):
-            calls.append(x)
-            return ln(x, ctx)
+        def counting_logs(integers, ctx):
+            calls.extend(integers)
+            return integer_logs(integers, ctx)
 
-        monkeypatch.setattr(halfduplex, "ln", counting_ln)
+        monkeypatch.setattr(halfduplex, "integer_logs", counting_logs)
         ctx = PrecisionContext(128)
         # seed 4: the rounds' own products straddle a digit boundary, so
         # sizing each round for itself would take two logs of most primes
@@ -221,11 +222,11 @@ class TestProtocol:
 
         calls = []
 
-        def counting_ln(x, ctx):
-            calls.append(x)
-            return ln(x, ctx)
+        def counting_logs(integers, ctx):
+            calls.extend(integers)
+            return integer_logs(integers, ctx)
 
-        monkeypatch.setattr(fullduplex, "ln", counting_ln)
+        monkeypatch.setattr(fullduplex, "integer_logs", counting_logs)
         rng = random.Random(13)
         primes, _ = sample_distinct_primes(12, 5, rng)
         ch = draw_channel(12, FadingModel.integer(8), 1, 0, rng)
