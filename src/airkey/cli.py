@@ -46,12 +46,10 @@ def _load_config(args) -> ExperimentConfig:
     text = "{}"
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError({"config": f"no such file: {path}"})
         try:
             text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise ConfigError({"config": f"{path} is not UTF-8 text: {e}"}) from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError({"config": f"cannot read {path}: {e}"}) from e
     overrides = {
         "protocol": args.protocol,
         "n_users": args.n_users,

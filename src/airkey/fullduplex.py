@@ -12,8 +12,11 @@ The exchange runs the steps of a half-duplex round once: one sizing,
 and at each receiver the listener step :func:`airkey.halfduplex.receive`,
 which rejects a value with ``not-near-integer`` or ``not-a-prime-product``,
 then the factor step :func:`factor`, which rejects a product whose cofactor
-resists the effort budget with ``factor-bound-exceeded``.  The
-eavesdropper's full-duplex attack runs the same two steps.
+resists the effort budget with ``factor-bound-exceeded``.  A legitimate
+receiver's factor step first divides out the exchange's primes below
+``integers.SMOOTH_BOUND``; by unique factorization its exponent map is the
+one the general factorizer finds, only sooner.  The eavesdropper's
+full-duplex attack runs the same two steps without those hints.
 
 Each receiver's ``exp`` is reduced by the product its column of c names,
 with that product's log summed from the exchange's fixed-point logs of
@@ -25,6 +28,7 @@ digit of it; noise takes the full kernel.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 from .arith import PrecisionContext, integer_logs
 from .channel import ChannelState
@@ -42,15 +46,18 @@ def _check_distinct(primes: list[PrimeInput]):
         )
 
 
-def factor(r: Reception) -> Reception:
+def factor(r: Reception, known: Iterable[int] = ()) -> Reception:
     """Factorize an accepted reception; ``recovered`` becomes the radical.
 
-    Fills ``exponent_map``.  A cofactor that resists the effort budget
-    leaves ``recovered`` None with the failure ``factor-bound-exceeded``.
+    Fills ``exponent_map``.  ``known`` are primes the listener may divide
+    out before the general factorizer runs (see
+    :func:`airkey.integers.factorize`); they change its cost, never its
+    result.  A cofactor that resists the effort budget leaves ``recovered``
+    None with the failure ``factor-bound-exceeded``.
     """
     if r.failure is None:
         try:
-            r.exponent_map = factorize(r.recovered)
+            r.exponent_map = factorize(r.recovered, known=known)
             r.recovered = radical(r.exponent_map)
         except FactorBoundExceeded:
             r.recovered, r.failure = None, "factor-bound-exceeded"
@@ -81,13 +88,14 @@ def run_protocol_fmac(
     # the zero diagonal of c drops each receiver's own prime
     columns = list(zip(*ch.c))
     work = sized_exchange(primes, columns, ctx)
-    logs = integer_logs([p.value for p in primes], work)
+    values = [p.value for p in primes]
+    logs = integer_logs(values, work)
     signals = [pre_process(log, ch.h_star, work) for log in logs.values]
     rounds = [
         factor(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
             ch.noise_variance, rng, logs.near(columns[j]),
-        ))
+        ), values)
         for j in range(ch.n_users)
     ]
     return ProtocolTranscript.of("fmac", 1, primes, rounds)

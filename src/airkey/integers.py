@@ -1,13 +1,17 @@
 """Exact integer machinery: probable primes, factorization, radicals.
 
-The full-duplex receiver knows no prime but its own, so recovery needs a
-general-purpose (desk-scale) factorizer.  Small factors are stripped with
-batched trial division: a gcd against each subtree of a cached product tree
-of all primes below a bound, which is orders of magnitude faster than
-dividing one prime at a time on 400-digit inputs.  Each prime found is
-divided out at once, so the cofactor the later subtrees are reduced modulo
-shrinks, and the walk ends when it reaches 1.  Whatever survives goes to
-Brent's variant of Pollard's rho under an explicit effort budget.
+Recovery needs a general-purpose (desk-scale) factorizer.  A caller may
+name primes it expects (the legitimate full-duplex receiver names the
+exchange's primes); those below a bound are divided out first.  Small
+factors left are stripped with batched trial division: a gcd against each
+subtree of a cached product tree of all primes below the bound, which is
+orders of magnitude faster than dividing one prime at a time on 400-digit
+inputs.  Each prime found is divided out at once, so the cofactor the later
+subtrees are reduced modulo shrinks, and the walk ends when it reaches 1.
+Whatever survives goes to Brent's variant of Pollard's rho under an explicit
+effort budget.  The tree finds every prime below the bound at its full
+power, so by unique factorization the named primes change the cost, never
+the result.
 
 Primality is Miller-Rabin with the fewest prime bases proven exact for the
 candidate's size, and random bases only beyond about 3.3e24.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -327,15 +332,32 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     return g, spent
 
 
-def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
+def factorize(
+    n: int, rho_effort: int = DEFAULT_RHO_EFFORT, known: Iterable[int] = ()
+) -> Factorization:
     """Complete prime factorization of ``n`` >= 2.
+
+    Each entry of ``known`` that is a prime <= SMOOTH_BOUND is divided out
+    first; every other entry is ignored.  The product tree and rho then run
+    on what is left, and not at all when that is 1.  Since the tree finds
+    every prime <= SMOOTH_BOUND at its full power, the hints leave the
+    result, the cofactor rho sees and every failure unchanged.
 
     Raises :class:`FactorBoundExceeded` when a composite cofactor resists
     the rho effort budget (deterministic: rho parameters are fixed).
     """
     if n < 2:
         raise ValueError("factorize requires n >= 2")
-    exponents, m = _strip_small_primes(n)
+    exponents: dict[int, int] = {}
+    m = n
+    for p in known:
+        if p <= SMOOTH_BOUND and is_probable_prime(p):
+            m, e = _divide_out(m, p)
+            if e:
+                exponents[p] = e
+    if m > 1:
+        small, m = _strip_small_primes(m)
+        exponents.update(small)
 
     # Pending chunks jointly cover every prime left in m; each discovered
     # prime is stripped from m itself, so stale chunks are harmless.

@@ -5,9 +5,10 @@ from decimal import Decimal
 
 import pytest
 
-from airkey import fullduplex
+from airkey import fullduplex, integers
 from airkey import (
     DuplicatePrimeDetected,
+    ExperimentConfig,
     FadingModel,
     PrecisionContext,
     PrimeInput,
@@ -17,6 +18,9 @@ from airkey import (
     run_protocol_fmac,
     sample_distinct_primes,
 )
+from airkey.harness import run_trial
+from test_oracle import POINTS
+from test_reduced_exp import N64
 
 CTX = PrecisionContext(64)
 
@@ -164,3 +168,43 @@ class TestProtocol:
         assert doc["protocol"] == "fmac"
         assert doc["rounds_used"] == 1
         assert "^" in doc["rounds"][0]["exponent_map"]
+
+
+class TestFactorHints:
+    """Legitimate receivers divide the exchange's primes out before the
+    product tree; Eve's factor step gets no hints."""
+
+    @staticmethod
+    def tree_walks(monkeypatch) -> list:
+        calls = []
+        real = integers._strip_small_primes
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(integers, "_strip_small_primes", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "fields",
+        [POINTS["fmac-eve-rayleigh"], POINTS["fmac-eve-matched"], N64],
+        ids=["fmac-eve-rayleigh", "fmac-eve-matched", "n64"],
+    )
+    def test_noiseless_receivers_skip_the_product_tree(self, fields, monkeypatch):
+        calls = self.tree_walks(monkeypatch)
+        cfg = ExperimentConfig(**dict(fields, eve=False)).validate()
+        for trial in range(cfg.trials):
+            _, transcript, _ = run_trial(cfg, trial)
+            assert all(r.exponent_map is not None for r in transcript.rounds)
+        assert calls == []
+
+    def test_eve_still_walks_the_product_tree(self, monkeypatch):
+        calls = self.tree_walks(monkeypatch)
+        cfg = ExperimentConfig(**POINTS["fmac-eve-matched"]).validate()
+        factored = 0
+        for trial in range(cfg.trials):
+            _, _, report = run_trial(cfg, trial)
+            factored += report.eve.exponent_map is not None
+        assert factored > 0
+        assert len(calls) == factored

@@ -247,9 +247,10 @@ class TestCli:
         )
         assert code == 2  # fmac without integer fading
 
-    def test_missing_config_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, name):
         code = self.run_cli(
-            "run", "--config", str(tmp_path / "nope.json"), "--seed", "1",
+            "run", "--config", str(tmp_path / name), "--seed", "1",
             "--trials", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 2

@@ -284,3 +284,51 @@ class TestFactorize:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             factorize(1)
+
+
+def factor_or_message(n: int, **kw):
+    try:
+        return factorize(n, **kw).factors
+    except FactorBoundExceeded as e:
+        return str(e)
+
+
+class TestKnownPrimes:
+    """Primes named to ``factorize`` change its cost, never its result."""
+
+    def test_random_products_with_their_own_primes(self):
+        rng = random.Random(29)
+        small = sieve(SMOOTH_BOUND)
+        for _ in range(60):
+            primes = rng.sample(small, rng.randrange(1, 14))
+            n, recipe = factor_oracle({p: rng.randrange(1, 9) for p in primes})
+            known = rng.sample(primes, rng.randrange(0, len(primes) + 1))
+            assert factorize(n, known=known).factors == factorize(n).factors == recipe
+
+    @pytest.mark.parametrize("large", [100_003, 1_000_003, 9_999_991])
+    def test_one_prime_above_the_bound(self, large):
+        n, recipe = factor_oracle({3: 2, 65_537: 5, 99_991: 1, large: 2})
+        assert factorize(n, known=[3, 65_537, 99_991, large]).factors == recipe
+        assert factorize(n, known=[large]).factors == recipe
+
+    @pytest.mark.parametrize(
+        "known",
+        [
+            [91, 1001],  # composites of primes that divide n
+            [7, 7, 13, 7],  # duplicates
+            [17, 99_989, 2],  # primes that do not divide n
+            [1_000_003, 100_003],  # primes above the bound
+            [0, 1, -7, 4, 91, 7, 11, 1001, 13, 1_000_003, 17],  # all at once
+        ],
+    )
+    def test_entries_that_are_not_factors_are_ignored(self, known):
+        n, recipe = factor_oracle({7: 3, 11: 1, 13: 2, 1_000_003: 1})
+        assert factorize(n, known=known).factors == recipe
+
+    def test_budget_failure_keeps_its_message(self):
+        p, q = 1_000_003, 9_999_991
+        n, _ = factor_oracle({2: 3, 11: 1, 65_537: 2, 99_991: 1, p: 1, q: 1})
+        bare = factor_or_message(n, rho_effort=10)
+        assert "resisted the rho effort budget" in bare
+        for known in ([2, 11, 65_537, 99_991], [2, 11, 65_537, 99_991, p, q], [91]):
+            assert factor_or_message(n, rho_effort=10, known=known) == bare
