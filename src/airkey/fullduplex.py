@@ -14,9 +14,10 @@ which rejects a value with ``not-near-integer`` or ``not-a-prime-product``,
 then the factor step :func:`factor`, which rejects a product whose cofactor
 resists the effort budget with ``factor-bound-exceeded``.  A legitimate
 receiver's factor step first divides out the exchange's primes below
-``integers.SMOOTH_BOUND``; by unique factorization its exponent map is the
-one the general factorizer finds, only sooner.  The eavesdropper's
-full-duplex attack runs the same two steps without those hints.
+``integers.SMOOTH_BOUND``, without testing them again; by unique
+factorization its exponent map is the one the general factorizer finds,
+only sooner.  The eavesdropper's full-duplex attack runs the same two steps
+without those hints.
 
 Each receiver's ``exp`` is reduced by the product its column of c names,
 with that product's log summed from the exchange's fixed-point logs of
@@ -46,11 +47,11 @@ def _check_distinct(primes: list[PrimeInput]):
         )
 
 
-def factor(r: Reception, known: Iterable[int] = ()) -> Reception:
+def factor(r: Reception, known: Iterable[PrimeInput] = ()) -> Reception:
     """Factorize an accepted reception; ``recovered`` becomes the radical.
 
     Fills ``exponent_map``.  ``known`` are primes the listener may divide
-    out before the general factorizer runs (see
+    out, untested, before the general factorizer runs (see
     :func:`airkey.integers.factorize`); they change its cost, never its
     result.  A cofactor that resists the effort budget leaves ``recovered``
     None with the failure ``factor-bound-exceeded``.
@@ -88,14 +89,13 @@ def run_protocol_fmac(
     # the zero diagonal of c drops each receiver's own prime
     columns = list(zip(*ch.c))
     work = sized_exchange(primes, columns, ctx)
-    values = [p.value for p in primes]
-    logs = integer_logs(values, work)
+    logs = integer_logs([p.value for p in primes], work)
     signals = [pre_process(log, ch.h_star, work) for log in logs.values]
     rounds = [
         factor(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
             ch.noise_variance, rng, logs.near(columns[j]),
-        ), values)
+        ), primes)
         for j in range(ch.n_users)
     ]
     return ProtocolTranscript.of("fmac", 1, primes, rounds)

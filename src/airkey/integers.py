@@ -3,15 +3,13 @@
 Recovery needs a general-purpose (desk-scale) factorizer.  A caller may
 name primes it expects (the legitimate full-duplex receiver names the
 exchange's primes); those below a bound are divided out first.  Small
-factors left are stripped with batched trial division: a gcd against each
-subtree of a cached product tree of all primes below the bound, which is
-orders of magnitude faster than dividing one prime at a time on 400-digit
-inputs.  Each prime found is divided out at once, so the cofactor the later
-subtrees are reduced modulo shrinks, and the walk ends when it reaches 1.
-Whatever survives goes to Brent's variant of Pollard's rho under an explicit
-effort budget.  The tree finds every prime below the bound at its full
-power, so by unique factorization the named primes change the cost, never
-the result.
+factors left are found with one gcd against the cached product of all
+primes below the bound: the gcd is the product of those that divide the
+input, and trial division of it by the sieve names them, each divided out
+at its full power.  Whatever survives goes to Brent's variant of Pollard's
+rho under an explicit effort budget.  The gcd finds every prime below the
+bound at its full power, so by unique factorization the named primes change
+the cost, never the result.
 
 Primality is Miller-Rabin with the fewest prime bases proven exact for the
 candidate's size, and random bases only beyond about 3.3e24.
@@ -45,11 +43,9 @@ _MR_EXACT_BELOW = (
 )
 _MR_RANDOM_ROUNDS = 32  # error probability <= 4**-32 = 2**-64
 
-# Primes up to this bound are found by batched gcd before rho runs.
+# Primes up to this bound are found by one gcd before rho runs.
 SMOOTH_BOUND = 100_000
 DEFAULT_RHO_EFFORT = 2_000_000
-# Levels between the product tree's root and the subtrees factorize starts at.
-_FOREST_DEPTH = 4
 
 
 def sieve(bound: int) -> list[int]:
@@ -214,69 +210,27 @@ def radical(f: Factorization) -> int:
 
 
 @cache
-def _prime_product_tree() -> tuple[list[list[int]], frozenset[int]]:
-    """Product tree over all primes <= SMOOTH_BOUND, and the set of them.
-
-    levels[0] are the primes.
-    """
-    level = sieve(SMOOTH_BOUND)
-    levels = [level]
-    while len(level) > 1:
-        nxt = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        levels.append(nxt)
-        level = nxt
-    return levels, frozenset(levels[0])
-
-
-def _collect_tree_primes(levels, primes, level_idx, node_idx, d, out):
-    """Descend the product tree collecting the primes dividing ``d``.
-
-    ``d`` > 1 is the product of the node's primes that divide the input
-    (squarefree, since the tree's primes are distinct).  Once it is a single
-    prime the descent stops; otherwise one gcd with the left child splits it
-    between the two children.
-    """
-    if d in primes:
-        out.append(d)
-        return
-    below = levels[level_idx - 1]
-    left = 2 * node_idx
-    if left + 1 == len(below):  # an odd node carried up unchanged
-        _collect_tree_primes(levels, primes, level_idx - 1, left, d, out)
-        return
-    node = below[left]
-    d_left = math.gcd(d, node % d if node >= d else node)
-    if d_left > 1:
-        _collect_tree_primes(levels, primes, level_idx - 1, left, d_left, out)
-    if d_left < d:
-        _collect_tree_primes(levels, primes, level_idx - 1, left + 1, d // d_left, out)
+def _small_primes() -> tuple[list[int], int]:
+    """All primes <= SMOOTH_BOUND, and their product."""
+    primes = sieve(SMOOTH_BOUND)
+    return primes, math.prod(primes)
 
 
 def _strip_small_primes(n: int) -> tuple[dict[int, int], int]:
     """Exponents of the primes up to SMOOTH_BOUND in ``n``, and the cofactor.
 
-    The gcd is taken at the subtrees ``_FOREST_DEPTH`` levels below the
-    root rather than at the root: it costs the same there, and the descent
-    then starts from much smaller nodes.  The subtrees are visited from the
-    largest primes down, each prime found is divided out at its full power
-    at once, so every later subtree is reduced modulo a smaller cofactor,
-    and the walk stops when the cofactor is 1.
+    One gcd with the product of those primes leaves g, the product of the
+    ones that divide ``n``; trial division of g by the sieve, which stops
+    when g reaches 1, names them, and each is divided out at its full power.
     """
-    levels, primes = _prime_product_tree()
-    top = max(len(levels) - 1 - _FOREST_DEPTH, 0)
+    primes, product = _small_primes()
+    g = math.gcd(n, product)
     exponents: dict[int, int] = {}
-    for idx in reversed(range(len(levels[top]))):
-        if n == 1:
-            break
-        node = levels[top][idx]
-        g = math.gcd(n, node % n if node >= n else node)
+    for p in primes:
         if g == 1:
-            continue
-        found: list[int] = []
-        _collect_tree_primes(levels, primes, top, idx, g, found)
-        for p in found:
+            break
+        if g % p == 0:
+            g //= p
             n, exponents[p] = _divide_out(n, p)
     return exponents, n
 
@@ -333,15 +287,16 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
 
 
 def factorize(
-    n: int, rho_effort: int = DEFAULT_RHO_EFFORT, known: Iterable[int] = ()
+    n: int, rho_effort: int = DEFAULT_RHO_EFFORT, known: Iterable[PrimeInput] = ()
 ) -> Factorization:
     """Complete prime factorization of ``n`` >= 2.
 
-    Each entry of ``known`` that is a prime <= SMOOTH_BOUND is divided out
-    first; every other entry is ignored.  The product tree and rho then run
-    on what is left, and not at all when that is 1.  Since the tree finds
-    every prime <= SMOOTH_BOUND at its full power, the hints leave the
-    result, the cofactor rho sees and every failure unchanged.
+    Each prime of ``known`` that is <= SMOOTH_BOUND is divided out first,
+    untested, since a ``PrimeInput`` is prime; larger ones are ignored.  The
+    small-prime gcd and rho then run on what is left, and not at all when
+    that is 1.  Since the gcd finds every prime <= SMOOTH_BOUND at its full
+    power, the hints leave the result, the cofactor rho sees and every
+    failure unchanged.
 
     Raises :class:`FactorBoundExceeded` when a composite cofactor resists
     the rho effort budget (deterministic: rho parameters are fixed).
@@ -351,10 +306,10 @@ def factorize(
     exponents: dict[int, int] = {}
     m = n
     for p in known:
-        if p <= SMOOTH_BOUND and is_probable_prime(p):
-            m, e = _divide_out(m, p)
+        if p.value <= SMOOTH_BOUND:
+            m, e = _divide_out(m, p.value)
             if e:
-                exponents[p] = e
+                exponents[p.value] = e
     if m > 1:
         small, m = _strip_small_primes(m)
         exponents.update(small)

@@ -33,6 +33,8 @@ def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") 
         raise ValueError("shared secret must be at least 2")
     if length_bits < 8 or length_bits % 8:
         raise ValueError("length_bits must be a positive multiple of 8")
+    if length_bits > 255 * 256:  # a one-byte counter: 255 blocks of 256 bits
+        raise ValueError("length_bits must be at most 65280")
     ikm = secret.to_bytes((secret.bit_length() + 7) // 8, "big")
     prk = hmac.new(_EXTRACT_SALT, ikm, hashlib.sha256).digest()
     okm = b""

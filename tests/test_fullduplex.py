@@ -170,12 +170,19 @@ class TestProtocol:
         assert "^" in doc["rounds"][0]["exponent_map"]
 
 
+NOISELESS = pytest.mark.parametrize(
+    "fields",
+    [POINTS["fmac-eve-rayleigh"], POINTS["fmac-eve-matched"], N64],
+    ids=["fmac-eve-rayleigh", "fmac-eve-matched", "n64"],
+)
+
+
 class TestFactorHints:
-    """Legitimate receivers divide the exchange's primes out before the
-    product tree; Eve's factor step gets no hints."""
+    """Legitimate receivers divide the exchange's primes out, untested,
+    before the small-prime gcd; Eve's factor step gets no hints."""
 
     @staticmethod
-    def tree_walks(monkeypatch) -> list:
+    def stage_calls(monkeypatch) -> list:
         calls = []
         real = integers._strip_small_primes
 
@@ -186,21 +193,43 @@ class TestFactorHints:
         monkeypatch.setattr(integers, "_strip_small_primes", counted)
         return calls
 
-    @pytest.mark.parametrize(
-        "fields",
-        [POINTS["fmac-eve-rayleigh"], POINTS["fmac-eve-matched"], N64],
-        ids=["fmac-eve-rayleigh", "fmac-eve-matched", "n64"],
-    )
-    def test_noiseless_receivers_skip_the_product_tree(self, fields, monkeypatch):
-        calls = self.tree_walks(monkeypatch)
+    @staticmethod
+    def run_noiseless(fields):
         cfg = ExperimentConfig(**dict(fields, eve=False)).validate()
         for trial in range(cfg.trials):
             _, transcript, _ = run_trial(cfg, trial)
             assert all(r.exponent_map is not None for r in transcript.rounds)
+
+    @NOISELESS
+    def test_noiseless_receivers_skip_the_product_tree(self, fields, monkeypatch):
+        calls = self.stage_calls(monkeypatch)
+        self.run_noiseless(fields)
         assert calls == []
 
+    @NOISELESS
+    def test_noiseless_receivers_test_no_primality(self, fields, monkeypatch):
+        tests, factoring = [], []
+        real_test, real_factorize = integers.is_probable_prime, fullduplex.factorize
+
+        def counted(n):
+            if factoring:
+                tests.append(n)
+            return real_test(n)
+
+        def flagged(*args, **kwargs):
+            factoring.append(True)
+            try:
+                return real_factorize(*args, **kwargs)
+            finally:
+                factoring.pop()
+
+        monkeypatch.setattr(integers, "is_probable_prime", counted)
+        monkeypatch.setattr(fullduplex, "factorize", flagged)
+        self.run_noiseless(fields)
+        assert tests == []
+
     def test_eve_still_walks_the_product_tree(self, monkeypatch):
-        calls = self.tree_walks(monkeypatch)
+        calls = self.stage_calls(monkeypatch)
         cfg = ExperimentConfig(**POINTS["fmac-eve-matched"]).validate()
         factored = 0
         for trial in range(cfg.trials):

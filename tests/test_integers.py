@@ -14,10 +14,9 @@ from airkey import (
     sample_prime,
 )
 from airkey.integers import (
-    _FOREST_DEPTH,
     _PRIME_COUNT,
     SMOOTH_BOUND,
-    _prime_product_tree,
+    _strip_small_primes,
     sieve,
 )
 
@@ -239,12 +238,7 @@ class TestFactorize:
         assert factorize(n).factors == recipe
 
     def test_primes_under_the_carried_top_node(self):
-        levels, _ = _prime_product_tree()
-        top = len(levels) - 1 - _FOREST_DEPTH
-        # the last top node is an odd node carried up from the level below
-        assert len(levels[top - 1]) % 2 == 1
-        first = sieve(SMOOTH_BOUND)[(len(levels[top]) - 1) << top]
-        n, recipe = factor_oracle({7: 2, first: 4, 99_991: 1})
+        n, recipe = factor_oracle({7: 2, 95_617: 4, 99_991: 1})
         assert factorize(n).factors == recipe
 
     @pytest.mark.parametrize(
@@ -259,7 +253,7 @@ class TestFactorize:
         assert factorize(p).factors == ((p, 1),)
 
     def test_cofactor_reaches_one_in_the_first_subtree(self):
-        # all factors lie under the top node of the largest primes
+        # all factors are among the largest primes below the bound
         n, recipe = factor_oracle({99_901: 3, 99_929: 1, 99_991: 8})
         assert factorize(n).factors == recipe
 
@@ -280,6 +274,15 @@ class TestFactorize:
                 picks[p] = picks.get(p, 0) + rng.randrange(1, 9)
             n, recipe = factor_oracle(picks)
             assert factorize(n).factors == recipe
+        # the full-duplex product at N=64: 64 distinct 5-digit primes
+        five_digit = [p for p in small if p >= 10_000]
+        picks = {p: rng.randrange(1, 9) for p in rng.sample(five_digit, 64)}
+        n, recipe = factor_oracle(picks)
+        assert factorize(n).factors == recipe
+        # no prime below the bound: one gcd, nothing divided out
+        n, recipe = factor_oracle({100_003: 2, 1_000_003: 1, 9_999_991: 3})
+        assert _strip_small_primes(n) == ({}, n)
+        assert factorize(n).factors == recipe
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
@@ -293,6 +296,10 @@ def factor_or_message(n: int, **kw):
         return str(e)
 
 
+def hints(values):
+    return [PrimeInput(v) for v in values]
+
+
 class TestKnownPrimes:
     """Primes named to ``factorize`` change its cost, never its result."""
 
@@ -302,33 +309,33 @@ class TestKnownPrimes:
         for _ in range(60):
             primes = rng.sample(small, rng.randrange(1, 14))
             n, recipe = factor_oracle({p: rng.randrange(1, 9) for p in primes})
-            known = rng.sample(primes, rng.randrange(0, len(primes) + 1))
+            known = hints(rng.sample(primes, rng.randrange(0, len(primes) + 1)))
             assert factorize(n, known=known).factors == factorize(n).factors == recipe
 
     @pytest.mark.parametrize("large", [100_003, 1_000_003, 9_999_991])
     def test_one_prime_above_the_bound(self, large):
         n, recipe = factor_oracle({3: 2, 65_537: 5, 99_991: 1, large: 2})
-        assert factorize(n, known=[3, 65_537, 99_991, large]).factors == recipe
-        assert factorize(n, known=[large]).factors == recipe
+        assert factorize(n, known=hints([3, 65_537, 99_991, large])).factors == recipe
+        assert factorize(n, known=hints([large])).factors == recipe
 
     @pytest.mark.parametrize(
         "known",
         [
-            [91, 1001],  # composites of primes that divide n
+            [13, 7, 1_000_003, 11],  # every prime of n, unsorted
             [7, 7, 13, 7],  # duplicates
             [17, 99_989, 2],  # primes that do not divide n
             [1_000_003, 100_003],  # primes above the bound
-            [0, 1, -7, 4, 91, 7, 11, 1001, 13, 1_000_003, 17],  # all at once
+            [2, 7, 11, 99_989, 13, 1_000_003, 17],  # all at once
         ],
     )
     def test_entries_that_are_not_factors_are_ignored(self, known):
         n, recipe = factor_oracle({7: 3, 11: 1, 13: 2, 1_000_003: 1})
-        assert factorize(n, known=known).factors == recipe
+        assert factorize(n, known=hints(known)).factors == recipe
 
     def test_budget_failure_keeps_its_message(self):
         p, q = 1_000_003, 9_999_991
         n, _ = factor_oracle({2: 3, 11: 1, 65_537: 2, 99_991: 1, p: 1, q: 1})
         bare = factor_or_message(n, rho_effort=10)
         assert "resisted the rho effort budget" in bare
-        for known in ([2, 11, 65_537, 99_991], [2, 11, 65_537, 99_991, p, q], [91]):
-            assert factor_or_message(n, rho_effort=10, known=known) == bare
+        for known in ([2, 11, 65_537, 99_991], [2, 11, 65_537, 99_991, p, q], [13]):
+            assert factor_or_message(n, rho_effort=10, known=hints(known)) == bare

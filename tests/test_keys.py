@@ -15,6 +15,8 @@ class TestDeriveKey:
         assert k.bit_length == 512
         assert len(k.key) == 64
         assert len(k.hex) == 128
+        # the longest: 255 blocks of the one-byte counter, 256 bits each
+        assert derive_key(6, 65_280).bit_length == 65_280
 
     def test_avalanche(self):
         # flipping the secret by one should flip about half the bits,
@@ -33,9 +35,9 @@ class TestDeriveKey:
         with pytest.raises(ValueError):
             derive_key(1)
 
-    @pytest.mark.parametrize("bits", [0, 7, 12])
+    @pytest.mark.parametrize("bits", [0, 7, 12, 65_288])
     def test_rejects_bad_length(self, bits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length_bits"):
             derive_key(30, bits)
 
     def test_repr_does_not_show_the_secret(self):
