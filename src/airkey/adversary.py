@@ -130,6 +130,6 @@ def eve_attack_full(
         ratios = [+(h / ch.h_star) for h in ch.h_eve]
     secret = math.prod(p.value for p in primes)
     work = sized_exchange(primes, [ratios], ctx, _ceiling(ratios, secret, record))
-    signals = [pre_process(ln(p.value, work), ch.h_star, work) for p in primes]
+    signals = [pre_process(ln(p.value, work), [ch.h_star], work)[0] for p in primes]
     eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
     return EveReport(eve, record.post_value, ratios, eve.recovered == secret)

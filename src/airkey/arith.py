@@ -195,16 +195,26 @@ def _ln_kernel_of(x: Decimal):
     c = int(x.scaleb(-e, EXACT))
     adjusted = x.adjusted()
     if 0 <= adjusted < 12 and (e >= 0 or c % 10**-e == 0):
-        n = c * 10**e if e >= 0 else c // 10**-e
-        near = _smooth_neighbour(n)
-        if near is not None:
-            return lambda w: _ln_smooth_kernel(n, *near, w)
+        kernel = _ln_integer_kernel(c * 10**e if e >= 0 else c // 10**-e)
+        if kernel is not None:
+            return kernel
     # Split off the decimal exponent away from 1, where ln x = ln(x/10^j) +
     # j ln 10 cannot cancel; near 1 keep x whole so no power of 10 is huge.
     j = adjusted if abs(adjusted) > 1 else 0
     f = e - j
     num, den = (c * 10**f, 1) if f >= 0 else (c, 10**-f)
     return lambda w: _ln_kernel(num, den, j, w)
+
+
+def _ln_integer_kernel(n: int):
+    """The smooth-neighbour kernel of ln n for an integer n >= 1, or None.
+
+    None from 10**12 on, or when the table has no neighbour for ``n``.
+    """
+    near = _smooth_neighbour(n) if n < 10**12 else None
+    if near is None:
+        return None
+    return lambda w: _ln_smooth_kernel(n, *near, w)
 
 
 class Near(NamedTuple):
@@ -260,15 +270,18 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
 
     Each kernel runs once, at the first width of Ziv's loop; a log whose
     rounding that width leaves undecided runs the loop, as ``ln`` would.
+    The kernel comes from the int itself, by the integer branch of ``ln``'s
+    kernel choice, and every first try is rounded over one Decimal 2**bits.
     """
     bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
+    den = Decimal(1 << bits)
     values, fixed, errors = [], [], []
     for n in integers:
         if n < 2:
             raise NonPositiveInput(f"integer_logs needs integers >= 2, got {n}")
-        kernel = _ln_kernel_of(Decimal(n))
+        kernel = _ln_integer_kernel(n) or _ln_kernel_of(Decimal(n))
         man, err, _, _ = kernel(bits)  # an integer's kernel keeps w = bits
-        value = _round_half_even(man, err, bits, 0, ctx.digits)
+        value = _round_quotient(man, err, den, 0, ctx.digits)
         if value is None:
             value = _correctly_rounded(kernel, ctx.digits)
         values.append(value)
@@ -590,8 +603,12 @@ def _round_half_even(man: int, err: int, shift: int, dexp: int, digits: int):
     ``digits`` digits would keep its short form, but that needs ``man ± err``
     to end in more than 2.3 * digits + 32 zero bits.
     """
+    return _round_quotient(man, err, Decimal(1 << shift), dexp, digits)
+
+
+def _round_quotient(man: int, err: int, den: Decimal, dexp: int, digits: int):
+    """:func:`_round_half_even` with its divisor 2**shift given as ``den``."""
     context = _context(digits)
-    den = Decimal(1 << shift)
     lo = context.divide(Decimal(man - err), den)
     hi = context.divide(Decimal(man + err), den)
     if lo != hi or lo.is_zero():

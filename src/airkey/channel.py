@@ -16,6 +16,9 @@ products, never rounded, and so is an observation: the sum of gain times
 signal over the transmitters.  Precision is decided only where an
 observation is exponentiated, by the one sizing step
 :func:`airkey.halfduplex.sized_exchange`.
+
+A draw resolves its fading model once, not once per gain, and every gain
+equals what a per-gain draw from the same generator gives.
 """
 
 from __future__ import annotations
@@ -93,21 +96,40 @@ class ChannelState:
         return replace(self, h_eve=taps)
 
 
-def _rayleigh_gain(scale: BigReal, rng: random.Random) -> BigReal:
+def _rayleigh_gain(scale: float, rng: random.Random) -> BigReal:
     """Rayleigh magnitude scale * sqrt(-2 ln U), U uniform on (0, 1)."""
     u = 1.0 - rng.random()
     while not 0.0 < u < 1.0:
         u = 1.0 - rng.random()
-    return to_bigreal(float(scale) * math.sqrt(-2.0 * math.log(u)))
+    return Decimal(repr(scale * math.sqrt(-2.0 * math.log(u))))
 
 
-def _draw_gain(model, h_star, rng):
+def _gain_source(model: FadingModel, h_star: BigReal, rng: random.Random):
+    """A function that draws one (gain, c) pair of ``model`` from ``rng``.
+
+    c is None outside integer mode.  In integer mode c comes from the
+    ``getrandbits`` calls of ``rng.randint(1, c_max)``, and each product
+    c * h_star is computed once, the first time c is drawn.
+    """
     if model.kind == "ideal":
-        return Decimal(1), None
+        unit = Decimal(1), None
+        return lambda: unit
     if model.kind == "rayleigh":
-        return _rayleigh_gain(model.scale, rng), None
-    c = rng.randint(1, model.c_max)
-    return EXACT.multiply(h_star, c), c
+        scale = float(model.scale)
+        return lambda: (_rayleigh_gain(scale, rng), None)
+    c_max, k = model.c_max, model.c_max.bit_length()
+    gains: dict[int, BigReal] = {}
+
+    def integer_gain():
+        r = rng.getrandbits(k)
+        while r >= c_max:
+            r = rng.getrandbits(k)
+        gain = gains.get(r)
+        if gain is None:
+            gain = gains[r] = EXACT.multiply(h_star, r + 1)
+        return gain, r + 1
+
+    return integer_gain
 
 
 def draw_channel(
@@ -132,15 +154,16 @@ def draw_channel(
     if noise_variance < 0:
         raise ValueError("noise variance cannot be negative")
 
+    draw_gain = _gain_source(model, h_star, rng)
     h = [[Decimal(0)] * n_users for _ in range(n_users)]
     c = [[0] * n_users for _ in range(n_users)] if model.kind == "integer" else None
     for i in range(n_users):
         for j in range(i + 1, n_users):
-            gain, cij = _draw_gain(model, h_star, rng)
+            gain, cij = draw_gain()
             h[i][j] = h[j][i] = gain
             if c is not None:
                 c[i][j] = c[j][i] = cij
-    h_eve = tuple(_draw_gain(model, h_star, rng)[0] for _ in range(n_users))
+    h_eve = tuple(draw_gain()[0] for _ in range(n_users))
     return ChannelState(
         n_users=n_users,
         h=tuple(tuple(row) for row in h),
@@ -154,7 +177,7 @@ def draw_channel(
 def rayleigh_taps(n: int, scale, rng: random.Random) -> tuple[BigReal, ...]:
     """Continuous Rayleigh taps, e.g. for an eavesdropper of an integer-mode
     channel whose physical link is not integer-quantized."""
-    scale = FadingModel.rayleigh(scale).scale
+    scale = float(FadingModel.rayleigh(scale).scale)
     return tuple(_rayleigh_gain(scale, rng) for _ in range(n))
 
 

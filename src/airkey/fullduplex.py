@@ -90,7 +90,7 @@ def run_protocol_fmac(
     columns = list(zip(*ch.c))
     work = sized_exchange(primes, columns, ctx)
     logs = integer_logs([p.value for p in primes], work)
-    signals = [pre_process(log, ch.h_star, work) for log in logs.values]
+    signals = [pre_process(log, [ch.h_star], work)[0] for log in logs.values]
     rounds = [
         factor(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,

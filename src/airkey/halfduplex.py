@@ -26,7 +26,8 @@ which keeps it in fixed point too.  ``exp`` never widens, so
 resolve to the tolerance.  The tolerance stays ``ctx.tolerance = 10**-T``.
 Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``, by
 that precision's shared context (``ctx.ambient``) rather than by entering
-a local context per signal.
+a local context per signal, all of a transmitter's signals in one call of
+:func:`pre_process`.
 
 A legitimate listener passes ``receive`` the product its exponent column
 names with that product's log (``near``), and ``exp`` reduces its
@@ -51,15 +52,19 @@ from .integers import PrimeInput
 from .transcript import ProtocolTranscript, Reception
 
 
-def pre_process(log_p: BigReal, gain: BigReal, ctx: PrecisionContext) -> BigReal:
-    """Transmit signal for one user: its prime's log divided by a gain.
+def pre_process(log_p: BigReal, gains, ctx: PrecisionContext) -> list[BigReal]:
+    """Transmit signals of one user: its prime's log divided by each gain.
 
-    The half-duplex scheme divides by the estimated gain toward the
-    listener, the full-duplex scheme by the public reference gain h*.
+    The half-duplex scheme divides by the estimated gain toward each
+    listener, the full-duplex scheme by the public reference gain h*.  Each
+    signal is ``log_p / gain`` rounded as inside ``ctx.local()``; any gain
+    that is not positive raises :class:`NonPositiveGain` before a division.
     """
-    if gain <= 0:
-        raise NonPositiveGain(f"gain must be positive, got {gain}")
-    return ctx.ambient.divide(log_p, gain)
+    least = min(gains)
+    if least <= 0:
+        raise NonPositiveGain(f"gain must be positive, got {least}")
+    divide = ctx.ambient.divide
+    return [divide(log_p, gain) for gain in gains]
 
 
 def sized_exchange(
@@ -158,14 +163,17 @@ def run_protocol_hmac(
     columns = [[i != j for i in range(n)] for j in range(n)]
     work = sized_exchange(primes, columns, ctx)
     logs = integer_logs([p.value for p in primes], work)
-    rounds = []
-    for j in range(n):
-        signals = [
-            None if i == j else pre_process(logs.values[i], h_hat[i][j], work)
-            for i in range(n)
-        ]
-        rounds.append(receive(
-            j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
-            ch.noise_variance, rng, logs.near(columns[j]),
-        ))
+    # sent[i][j]: user i's signal toward listener j, None for i == j
+    sent = []
+    for i, log_p in enumerate(logs.values):
+        row = pre_process(log_p, [*h_hat[i][:i], *h_hat[i][i + 1 :]], work)
+        row.insert(i, None)
+        sent.append(row)
+    rounds = [
+        receive(
+            j, [row[j] for row in sent], [row[j] for row in ch.h], work,
+            ctx.tolerance, ch.noise_variance, rng, logs.near(columns[j]),
+        )
+        for j in range(n)
+    ]
     return ProtocolTranscript.of("hmac", n, primes, rounds)

@@ -11,8 +11,14 @@ rho under an explicit effort budget.  The gcd finds every prime below the
 bound at its full power, so by unique factorization the named primes change
 the cost, never the result.
 
-Primality is Miller-Rabin with the fewest prime bases proven exact for the
-candidate's size, and random bases only beyond about 3.3e24.
+Primality starts with one gcd against the product of the 168 primes below
+1009.  Every composite below 1009**2 has a prime factor below 1009, so that
+gcd alone decides every n < 1009**2 exactly: a shared factor means
+composite, none means prime.  From 1009**2 on a shared factor still means
+composite, and otherwise Miller-Rabin decides, with the fewest prime bases
+proven exact for the candidate's size, and random bases only beyond about
+3.3e24.  Prime sampling draws its candidates with the ``getrandbits`` calls
+that ``randrange`` over the digit range makes.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from .errors import FactorBoundExceeded
 
 # Miller-Rabin with the first k prime bases is exact below psi_k, the least
 # composite that passes all k (OEIS A014233); each entry is (psi_k, k) for
-# the k that first raises the bound.
+# the k that first raises the bound.  psi_1 = 2 047 is left out: below
+# 1009**2 primality is decided before Miller-Rabin runs.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = (
-    (2_047, 1),
     (1_373_653, 2),
     (25_326_001, 3),
     (3_215_031_751, 4),
@@ -60,6 +66,13 @@ def sieve(bound: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+# Every composite below _GCD_BOUND**2 has a prime factor below _GCD_BOUND, so
+# one gcd against the product of those primes decides primality there.
+_GCD_BOUND = 1009
+_GCD_PRIMES = frozenset(sieve(_GCD_BOUND - 1))
+_GCD_PRODUCT = math.prod(_GCD_PRIMES)
+
+
 def _mr_composite(n: int, bases) -> bool:
     """True if a base in ``bases``, each in [2, n - 2], proves odd ``n`` composite."""
     d = n - 1
@@ -79,19 +92,21 @@ def _mr_composite(n: int, bases) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin, exact below psi_13 ~ 3.3e24, 32 random rounds above.
+    """Exact below psi_13 ~ 3.3e24, 32 random Miller-Rabin rounds above.
 
-    Below psi_13 it runs the shortest prefix of ``_MR_BASES`` proven exact
-    below ``n`` (``_MR_EXACT_BELOW``): base 2 alone below 2 047, bases 2
-    and 3 below 1 373 653, all 13 only from psi_12 ~ 3.2e23 on.
+    Below 1009 it is a lookup.  Otherwise one gcd with the product of the
+    primes below 1009 finds any factor among them, and below 1009**2 =
+    1 018 081 a value with none is prime.  From there Miller-Rabin runs, below
+    psi_13 with the shortest prefix of ``_MR_BASES`` proven exact below
+    ``n`` (``_MR_EXACT_BELOW``): bases 2 and 3 below 1 373 653, all 13 only
+    from psi_12 ~ 3.2e23 on.
     """
-    if n < 2:
+    if n < _GCD_BOUND:
+        return n in _GCD_PRIMES
+    if math.gcd(n, _GCD_PRODUCT) != 1:
         return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < _GCD_BOUND * _GCD_BOUND:
+        return True
     for bound, k in _MR_EXACT_BELOW:
         if n < bound:
             return not _mr_composite(n, _MR_BASES[:k])
@@ -123,16 +138,23 @@ def sample_prime(digit_count: int, rng: random.Random) -> PrimeInput:
     """Uniform probable prime with exactly ``digit_count`` decimal digits.
 
     Rejection sampling keeps the draw uniform over the primes in range and
-    deterministic for a given generator state.
+    deterministic for a given generator state.  Each candidate is ``lo +
+    r``, with ``r = rng.getrandbits(k)`` redrawn while it is not below the
+    range's width: the calls ``rng.randrange(lo, hi + 1)`` makes, so the
+    candidates are ``randrange``'s, without its per-call overhead.
     """
     if digit_count < 1:
         raise ValueError("digit_count must be positive")
     lo = 10 ** (digit_count - 1)
-    hi = 10**digit_count - 1
+    width = 10**digit_count - lo
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        candidate = rng.randrange(lo, hi + 1)
-        if is_probable_prime(candidate):
-            return PrimeInput._tested(candidate)
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        if is_probable_prime(lo + r):
+            return PrimeInput._tested(lo + r)
 
 
 # Primes with exactly d decimal digits, d = 1..8; from 9 digits on there

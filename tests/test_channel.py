@@ -134,6 +134,76 @@ class TestDrawChannel:
         assert abs(cov / (sx * sy)) < 0.02
 
 
+def reference_gain(model, h_star, rng):
+    # one gain with the calls of a per-gain draw: randint for c, and for a
+    # Rayleigh gain float(scale) times sqrt(-2 ln u), stored as its repr
+    if model.kind == "ideal":
+        return Decimal(1), None
+    if model.kind == "rayleigh":
+        u = 1.0 - rng.random()
+        while not 0.0 < u < 1.0:
+            u = 1.0 - rng.random()
+        return Decimal(repr(float(model.scale) * math.sqrt(-2.0 * math.log(u)))), None
+    c = rng.randint(1, model.c_max)
+    with localcontext(Context(prec=10_000)):
+        return h_star * c, c
+
+
+def reference_channel(n, model, h_star, rng):
+    h = [[Decimal(0)] * n for _ in range(n)]
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            h[i][j], c[i][j] = reference_gain(model, h_star, rng)
+            h[j][i], c[j][i] = h[i][j], c[i][j]
+    h_eve = [reference_gain(model, h_star, rng)[0] for _ in range(n)]
+    return h, h_eve, c if model.kind == "integer" else None
+
+
+def digits_of(values):
+    return [v.as_tuple() for v in values]
+
+
+class TestDrawStream:
+    """Draws equal, digit for digit, the per-gain calls of a reference."""
+
+    MODELS = [
+        FadingModel.ideal(),
+        FadingModel.rayleigh(1),
+        FadingModel.rayleigh(Decimal("0.37")),
+        FadingModel.rayleigh(10**7),
+        FadingModel.integer(1),
+        FadingModel.integer(3),
+        FadingModel.integer(8),
+        FadingModel.integer(1000),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.kind}-{m.scale}-{m.c_max}")
+    @pytest.mark.parametrize("h_star", ["1", "0.3", "1e-400"])
+    def test_draw_channel_matches_per_gain_draws(self, model, h_star):
+        h_star = Decimal(h_star)
+        for seed in range(20):
+            n = 2 + seed % 7
+            rng, ref = random.Random(seed), random.Random(seed)
+            ch = draw_channel(n, model, h_star, 0, rng)
+            h, h_eve, c = reference_channel(n, model, h_star, ref)
+            for got, want in zip(ch.h, h):
+                assert digits_of(got) == digits_of(want)
+            assert digits_of(ch.h_eve) == digits_of(h_eve)
+            assert ch.c == (None if c is None else tuple(map(tuple, c)))
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("scale", [1, 2.5, "0.37", 10**7])
+    def test_rayleigh_taps_match_per_gain_draws(self, scale):
+        model = FadingModel.rayleigh(scale)
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            taps = rayleigh_taps(1 + seed, scale, rng)
+            want = [reference_gain(model, 1, ref)[0] for _ in range(1 + seed)]
+            assert digits_of(taps) == digits_of(want)
+            assert rng.getstate() == ref.getstate()
+
+
 def column(ch, j):
     return [row[j] for row in ch.h]
 

@@ -45,7 +45,7 @@ def forced_c_channel(primes_n, c):
 class TestPreProcess:
     def test_gain_three_cubes(self):
         # gain 3 on a ln(5)/1 signal lands on ln(125)
-        sig = pre_process(ln(5, CTX), Decimal(1), CTX)
+        [sig] = pre_process(ln(5, CTX), [Decimal(1)], CTX)
         with CTX.local():
             assert abs(3 * sig - ln(125, CTX)) < Decimal("1e-60")
 

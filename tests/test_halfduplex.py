@@ -35,23 +35,25 @@ def make_setup(n, model, seed, digits=6, noise="0"):
 
 class TestPreProcess:
     def test_unit_gain(self):
-        assert pre_process(ln(2, CTX), Decimal(1), CTX) == ln(2, CTX)
+        assert pre_process(ln(2, CTX), [Decimal(1)], CTX) == [ln(2, CTX)]
 
     def test_half_gain_doubles(self):
-        got = pre_process(ln(3, CTX), Decimal("0.5"), CTX)
+        [got] = pre_process(ln(3, CTX), [Decimal("0.5")], CTX)
         with CTX.local():
             assert abs(got - 2 * ln(3, CTX)) < Decimal("1e-60")
 
     def test_gain_cancellation(self):
         # transmitting through the very gain used for inversion restores ln p
         h = Decimal("1.73205")
-        sig = pre_process(ln(7, CTX), h, CTX)
+        [sig] = pre_process(ln(7, CTX), [h], CTX)
         with CTX.local():
             assert abs(h * sig - ln(7, CTX)) < Decimal("1e-60")
 
     def test_rejects_non_positive_gain(self):
-        with pytest.raises(NonPositiveGain):
-            pre_process(ln(2, CTX), Decimal(0), CTX)
+        # every gain of the transmitter is checked, not only the first
+        for gains in ([Decimal(0)], [Decimal(1), Decimal(2), Decimal("-0.5")]):
+            with pytest.raises(NonPositiveGain):
+                pre_process(ln(2, CTX), gains, CTX)
 
     @pytest.mark.parametrize("digits", [16, 64, 128, 300])
     def test_matches_division_in_the_local_context(self, digits):
@@ -65,12 +67,12 @@ class TestPreProcess:
         perturbed += [g for row in estimate_csi(ch, 0.25, rng) for g in row if g]
         wide = [Decimal(rng.getrandbits(700)).scaleb(-rng.randrange(150, 250))
                 for _ in range(10)]
+        gains = perturbed + wide + [Decimal("1e-300"), Decimal(7)]
         for p in primes:
             log_p = ln(p.value, ctx)
-            for gain in perturbed + wide + [Decimal("1e-300"), Decimal(7)]:
-                with ctx.local():
-                    expected = log_p / gain
-                assert pre_process(log_p, gain, ctx).as_tuple() == expected.as_tuple()
+            with ctx.local():
+                expected = [(log_p / gain).as_tuple() for gain in gains]
+            assert [s.as_tuple() for s in pre_process(log_p, gains, ctx)] == expected
 
     def test_protocol_run_leaves_the_thread_context_alone(self):
         ambient = decimal.getcontext()

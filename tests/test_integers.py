@@ -44,11 +44,11 @@ class BoundedRandom(random.Random):
         super().__init__(seed)
         self.left = draws
 
-    def randrange(self, *args):
+    def getrandbits(self, k):
         self.left -= 1
         if self.left < 0:
             raise RuntimeError("sampling did not finish")
-        return super().randrange(*args)
+        return super().getrandbits(k)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -83,6 +83,27 @@ def reference_is_prime(n: int, rounds: int = 48) -> bool:
         else:
             return False
     return True
+
+
+def reference_sample_prime(digit_count: int, rng: random.Random) -> int:
+    # the candidate stream of randrange over the digit range, each candidate
+    # tested by the independent oracle
+    lo, hi = 10 ** (digit_count - 1), 10**digit_count - 1
+    while True:
+        candidate = rng.randrange(lo, hi + 1)
+        if reference_is_prime(candidate):
+            return candidate
+
+
+def reference_distinct_primes(n: int, digit_count: int, rng: random.Random):
+    out, collisions = [], 0
+    while len(out) < n:
+        p = reference_sample_prime(digit_count, rng)
+        if p in out:
+            collisions += 1
+        else:
+            out.append(p)
+    return out, collisions
 
 
 def factor_oracle(picks: dict[int, int]) -> tuple[int, tuple]:
@@ -132,6 +153,36 @@ class TestPrimality:
             n = rng.randrange(PSI[k - 1], PSI[k]) | 1
             assert is_probable_prime(n) == reference_is_prime(n)
 
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (997, True),  # the largest prime in the gcd's product
+            (1008, False),
+            (1009, True),  # the least value the gcd decides
+            (997 * 1009, False),
+            (1009**2, False),  # 1 018 081, the least value it does not decide
+            (1_018_091, True),  # the least prime above 1009**2
+            (1009 * 1013, False),
+        ],
+    )
+    def test_named_values_at_the_gcd_bound(self, n, prime):
+        assert reference_is_prime(n) == prime
+        assert is_probable_prime(n) == prime
+
+    def test_every_value_across_the_gcd_bound_matches_a_sieve(self):
+        # below 1009**2 one gcd against the primes below 1009 decides; above
+        # it Miller-Rabin runs, so a bound off by one reads 1009**2 as prime
+        top = 1009**2 + 10**4
+        primes = set(sieve(top - 1))
+        wrong = [n for n in range(top) if is_probable_prime(n) != (n in primes)]
+        assert wrong == []
+
+    def test_random_values_above_the_gcd_bound_match_the_reference(self):
+        rng = random.Random(1009)
+        for _ in range(2000):
+            n = rng.randrange(10**6, 10**12 + 1)
+            assert is_probable_prime(n) == reference_is_prime(n), n
+
     def test_sieve_matches_oracle(self):
         assert sieve(100) == [n for n in range(101) if trial_division_is_prime(n)]
         assert sieve(1) == []
@@ -158,6 +209,20 @@ class TestSampling:
         a = sample_prime(6, random.Random(42))
         b = sample_prime(6, random.Random(42))
         assert a == b
+
+    @pytest.mark.parametrize("digits", range(1, 13))
+    def test_candidate_stream_is_randranges(self, digits):
+        # the draws, and so every trial's input, are those of randrange over
+        # the digit range, whatever the sampler calls to make them
+        n = min(4, _PRIME_COUNT.get(digits, 4))
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert sample_prime(digits, rng).value == reference_sample_prime(digits, ref)
+            primes, collisions = sample_distinct_primes(n, digits, rng)
+            assert ([p.value for p in primes], collisions) == reference_distinct_primes(
+                n, digits, ref
+            )
+            assert rng.getstate() == ref.getstate()
 
     def test_distinct_primes_are_distinct(self):
         primes, collisions = sample_distinct_primes(20, 4, random.Random(9))
