@@ -9,7 +9,7 @@ from .arith import (
     ln,
     to_bigreal,
 )
-from .adversary import eve_attack_full, eve_attack_half
+from .adversary import eve_attack
 from .channel import (
     ChannelState,
     FadingModel,

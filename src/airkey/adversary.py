@@ -1,30 +1,43 @@
 """Passive eavesdropper analysis.
 
-Eve hears every transmission through her own taps, knows the protocol, the
-post-processing functions and the public reference gain, and works with
-unlimited precision and zero noise: only the fading realizations protect
-the key.  Because her taps differ from the legitimate gains, each prime
-reaches her raised to a slightly wrong exponent; the resulting value
-differs from the legitimate product by a multiplicative error factor that
-vanishes only when every exponent ratio is exactly 1.
+Eve hears every transmission through her own taps ``ch.h_eve``, knows the
+protocol, the post-processing functions and the public reference gain, and
+works with zero noise.  What she hears depends on the scheme:
 
-Each attack runs the listener step of the legitimate receivers,
-:func:`airkey.halfduplex.receive`, on her own taps ``ch.h_eve`` with zero
-noise, and against the full-duplex exchange also its factor step
-:func:`airkey.fullduplex.factor`.  Her reception is sized like any
-exchange by :func:`airkey.halfduplex.sized_exchange`, on the ratios her
-primes reach her with, under one ceiling for both attacks.  If every ratio
-is an integer her value is an exact product of the primes, which can be the
-key (matched integer taps on the full-duplex exchange): the ceiling is the
-exchanges' own.  Otherwise it is one digit above the larger of the group
-secret and ``psi_legit``: such a value can neither be the key, nor divide
-it, nor share a digit with ``psi_legit``.  Past the ceiling her reception is
-unsized, and ``receive`` records it as infinite when ``ctx`` cannot resolve
-it.  A reception rejected with
-``not-near-integer``, ``not-a-prime-product`` or ``factor-bound-exceeded``
-means she did not recover the key.  The report compares her reception
-with the legitimate receiver's: the gap is ``|psi_legit - eve.post_value|``
-and the error factor ``1 - eve.post_value / psi_legit``.
+- against ``hmac`` she hears the physical exchange: the signals of the
+  first round, as transmitted;
+- against ``fmac`` she rebuilds every signal, ``ln p / h*``, at her own
+  sized precision, as the exchange itself makes them: the "unlimited
+  precision" worst case.
+
+Because her taps differ from the legitimate gains, each prime reaches her
+raised to a slightly wrong exponent; the resulting value differs from the
+legitimate product by a multiplicative error factor that vanishes only when
+every exponent ratio is exactly 1.  Against ``hmac`` she does not know the
+estimated gains ĥ_ij, so her ratios are unknown to her.  Against ``fmac``
+with a public h* she knows every ratio h_eve_i / h*, so her observation is
+one real equation over primes of a public digit count, which in this model
+almost surely fixes the key: a search over the candidates found it in
+every trial tried, and the cost of that search is what protects the key.
+
+The one attack, :func:`eve_attack`, runs the listener step of the
+legitimate receivers, :func:`airkey.halfduplex.receive`, on her taps, and
+against ``fmac`` also its factor step :func:`airkey.fullduplex.factor`.
+Her logs come from :func:`airkey.arith.integer_logs`, as the protocols'
+do.  Her reception is sized like any exchange by
+:func:`airkey.halfduplex.sized_exchange`, on the ratios her primes reach
+her with, under one ceiling.  If every ratio is an integer her value is an
+exact product of the primes, which can be the key (matched integer taps
+against ``fmac``): the ceiling is the exchanges' own.  Otherwise it is one
+digit above the larger of the group secret and ``psi_legit``: such a value
+can neither be the key, nor divide it, nor share a digit with
+``psi_legit``.  Past the ceiling her reception is unsized, and ``receive``
+records it as infinite when ``ctx`` cannot resolve it.  A reception
+rejected with ``not-near-integer``, ``not-a-prime-product`` or
+``factor-bound-exceeded`` means she did not recover the key.  The report
+compares her reception with the legitimate receiver's: the gap is
+``|psi_legit - eve.post_value|`` and the error factor
+``1 - eve.post_value / psi_legit``.
 """
 
 from __future__ import annotations
@@ -32,12 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import MAX_EXPONENT, BigReal, PrecisionContext, leading_digit_overlap, ln
+from .arith import MAX_EXPONENT, BigReal, PrecisionContext, integer_logs
+from .arith import leading_digit_overlap
 from .channel import ChannelState
 from .fullduplex import factor
 from .halfduplex import pre_process, receive, sized_exchange
 from .integers import PrimeInput
-from .transcript import Reception
+from .transcript import ProtocolTranscript, Reception
 
 
 @dataclass
@@ -74,62 +88,53 @@ def _ceiling(ratios: list[BigReal], secret: int, record: Reception):
     return max(math.log10(secret), legit) + 1
 
 
-def eve_attack_half(
-    record: Reception,
+def eve_attack(
+    transcript: ProtocolTranscript,
     primes: list[PrimeInput],
     ch: ChannelState,
     ctx: PrecisionContext,
-    second_record: Reception | None = None,
+    two_round: bool = False,
 ) -> EveReport:
-    """Eve against a half-duplex round (noiseless sniffing, worst case).
+    """Eve against ``transcript``, compared with its first receiver.
 
-    With a single round Eve can never assemble the full secret (the
-    listener's prime never flew), so ``key_equal`` can only hold in the
-    two-round interception mode: given the rounds of two different
-    listeners she receives both and, if both are accepted, recombines them
-    via their least common multiple; both rounds are received at the
-    context sized for the first.
+    Against ``hmac`` she hears round 0, in which the listener's prime never
+    flew, so she can never assemble the secret from it alone: ``key_equal``
+    holds only with ``two_round``, when she also receives round 1 at the
+    same context and the least common multiple of both accepted rounds is
+    the secret.  Against ``fmac`` she hears all N terms (no
+    self-interference cancellation on her side) with exponents
+    h_eve[i] / h_star and decides as a legitimate receiver does: round,
+    factorize, take the radical and compare it with the secret.
     """
-    transmitters = [i for i, s in enumerate(record.signals) if s is not None]
-    with ctx.local():
+    record = transcript.rounds[0]
+    secret = math.prod(p.value for p in primes)
+    multiply, divide = ctx.ambient.multiply, ctx.ambient.divide
+    if transcript.protocol == "hmac":
+        heard = [i for i, s in enumerate(record.signals) if s is not None]
+        logs = integer_logs([primes[i].value for i in heard], ctx).values
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
         ratios = [
-            +(ch.h_eve[i] * record.signals[i] / ln(primes[i].value, ctx))
-            for i in transmitters
+            divide(multiply(ch.h_eve[i], record.signals[i]), log)
+            for i, log in zip(heard, logs)
         ]
-    secret = math.prod(p.value for p in primes)
+    else:
+        heard = range(len(primes))
+        ratios = [divide(h, ch.h_star) for h in ch.h_eve]
     ceiling = _ceiling(ratios, secret, record)
-    work = sized_exchange([primes[i] for i in transmitters], [ratios], ctx, ceiling)
-    eve = receive(None, record.signals, ch.h_eve, work, ctx.tolerance)
+    work = sized_exchange([primes[i] for i in heard], [ratios], ctx, ceiling)
+
+    def hear(signals):
+        return receive(None, signals, ch.h_eve, work, ctx.tolerance)
+
+    if transcript.protocol == "fmac":
+        logs = integer_logs([p.value for p in primes], work).values
+        eve = factor(hear([pre_process(log, [ch.h_star], work)[0] for log in logs]))
+        return EveReport(eve, record.post_value, ratios, eve.recovered == secret)
+    eve = hear(record.signals)
     key_equal = False
-    if second_record is not None and eve.recovered is not None:
-        second = receive(None, second_record.signals, ch.h_eve, work, ctx.tolerance)
+    if two_round and eve.recovered is not None:
+        second = hear(transcript.rounds[1].signals)
         key_equal = second.recovered is not None and math.lcm(
             eve.recovered, second.recovered
         ) == secret
     return EveReport(eve, record.post_value, ratios, key_equal)
-
-
-def eve_attack_full(
-    record: Reception,
-    primes: list[PrimeInput],
-    ch: ChannelState,
-    ctx: PrecisionContext,
-) -> EveReport:
-    """Eve against the full-duplex exchange, compared with ``record``'s receiver.
-
-    She hears all N terms (no self-interference cancellation on her side)
-    with exponents h_eve[i] / h_star.  Her decision procedure is the
-    legitimate receiver's: round to an integer, factorize, take the radical,
-    and compare the reassembled secret; only the measure-zero event of every
-    tap landing on an exact integer multiple of h_star lets it succeed.
-    """
-    if ch.c is None:
-        raise ValueError("full-duplex attack needs an integer-fading channel")
-    with ctx.local():
-        ratios = [+(h / ch.h_star) for h in ch.h_eve]
-    secret = math.prod(p.value for p in primes)
-    work = sized_exchange(primes, [ratios], ctx, _ceiling(ratios, secret, record))
-    signals = [pre_process(ln(p.value, work), [ch.h_star], work)[0] for p in primes]
-    eve = factor(receive(None, signals, ch.h_eve, work, ctx.tolerance))
-    return EveReport(eve, record.post_value, ratios, eve.recovered == secret)

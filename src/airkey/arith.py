@@ -22,7 +22,7 @@ it leaves the context unsized.  ``ln`` and ``exp`` are pure kernels: they
 round to ``ctx.digits`` and never choose a precision; ``exp`` raises
 :class:`Overflow` for a result beyond ``MAX_EXPONENT`` either way, before
 any digit is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
-(:meth:`PrecisionContext.local`) so sums of logs keep their digits.
+(:attr:`PrecisionContext.ambient`) so sums of logs keep their digits.
 
 ``ln`` and ``exp`` take and return Decimals but compute in binary fixed
 point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
@@ -68,7 +68,6 @@ from decimal import (
     Decimal,
     Inexact,
     InvalidOperation,
-    localcontext,
 )
 from functools import cache
 from typing import NamedTuple
@@ -130,23 +129,14 @@ class PrecisionContext:
         """
         return PrecisionContext(max(self.digits, m + self.digits // 4 + 2 * GUARD))
 
-    def local(self):
-        """Run ambient Decimal arithmetic at ``digits + GUARD`` digits.
-
-        Plain ``+``/``*`` on Decimals obey the thread's current context
-        (28 digits by default), so callers composing BigReals must wrap the
-        arithmetic:  ``with ctx.local(): y = ln(a, ctx) + ln(b, ctx)``.
-        ``localcontext`` installs a copy of the shared :attr:`ambient`
-        context, so the block may change its copy freely.
-        """
-        return localcontext(self.ambient)
-
     @property
     def ambient(self) -> Context:
-        """The shared context of :meth:`local`, for one-off operations.
+        """The shared context of ``digits + GUARD`` digits for composing BigReals.
 
-        ``ctx.ambient.divide(a, b)`` rounds as ``a / b`` does inside
-        ``ctx.local()`` without installing a context.
+        Plain ``+``/``*`` on Decimals obey the thread's current context (28
+        digits by default), so callers use its operations, as in
+        ``ctx.ambient.divide(a, b)``, or wrap plain arithmetic in
+        ``with localcontext(ctx.ambient):``, which installs a copy.
         """
         return _context(self.digits + GUARD)
 

@@ -24,9 +24,9 @@ prime's log is taken once per run, by :func:`airkey.arith.integer_logs`,
 which keeps it in fixed point too.  ``exp`` never widens, so
 :func:`receive` rejects a value whose integer part its context cannot
 resolve to the tolerance.  The tolerance stays ``ctx.tolerance = 10**-T``.
-Signals are divided at ``ctx.local()`` precision, ``digits + GUARD``, by
-that precision's shared context (``ctx.ambient``) rather than by entering
-a local context per signal, all of a transmitter's signals in one call of
+Signals are divided at ``digits + GUARD`` digits by that precision's
+shared context (``ctx.ambient``) rather than by entering a local context
+per signal, all of a transmitter's signals in one call of
 :func:`pre_process`.
 
 A legitimate listener passes ``receive`` the product its exponent column
@@ -57,7 +57,7 @@ def pre_process(log_p: BigReal, gains, ctx: PrecisionContext) -> list[BigReal]:
 
     The half-duplex scheme divides by the estimated gain toward each
     listener, the full-duplex scheme by the public reference gain h*.  Each
-    signal is ``log_p / gain`` rounded as inside ``ctx.local()``; any gain
+    signal is ``log_p / gain`` rounded by ``ctx.ambient``; any gain
     that is not positive raises :class:`NonPositiveGain` before a division.
     """
     least = min(gains)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
-from .adversary import eve_attack_full, eve_attack_half
+from .adversary import eve_attack
 from .arith import PrecisionContext
 from .channel import FadingModel, draw_channel, estimate_csi, rayleigh_taps
 from .errors import ConfigError
@@ -139,6 +139,9 @@ class ExperimentConfig:
             problems["noise_variance"] = f"not a decimal: {self.noise_variance!r}"
         if self.eve_mode not in ("single", "two_round"):
             problems["eve_mode"] = "must be single or two_round"
+        elif self.eve_mode == "two_round" and self.protocol == "fmac":
+            # the one exchange has no second round to intercept
+            problems["eve_mode"] = "two_round needs protocol hmac"
         if self.eve_taps not in ("matched", "rayleigh"):
             problems["eve_taps"] = "must be matched or rayleigh"
         for name in ("rayleigh_scale", "eve_rayleigh_scale"):
@@ -218,11 +221,7 @@ def run_trial(cfg: ExperimentConfig, trial: int):
 
     report = None
     if cfg.eve:
-        if cfg.protocol == "hmac":
-            second = transcript.rounds[1] if cfg.eve_mode == "two_round" else None
-            report = eve_attack_half(transcript.rounds[0], primes, ch, ctx, second)
-        else:
-            report = eve_attack_full(transcript.rounds[0], primes, ch, ctx)
+        report = eve_attack(transcript, primes, ch, ctx, cfg.eve_mode == "two_round")
 
     row = {
         "trial": trial,

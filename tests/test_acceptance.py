@@ -11,7 +11,7 @@ import math
 import os
 import random
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -21,7 +21,7 @@ from airkey import (
     PrecisionContext,
     draw_channel,
     estimate_csi,
-    eve_attack_half,
+    eve_attack,
     exp,
     leading_digit_overlap,
     ln,
@@ -124,7 +124,7 @@ def test_criterion_3_eavesdropper_discrepancy(capsys):
                 for _ in range(n)
             ]
             legit = Decimal(math.prod(p**c for p, c in zip(primes, base)))
-            with ctx.local():
+            with localcontext(ctx.ambient):
                 y = sum(
                     (Decimal(c) + d) * ln(p, ctx)
                     for p, c, d in zip(primes, base, deltas)
@@ -134,7 +134,7 @@ def test_criterion_3_eavesdropper_discrepancy(capsys):
             if psi_eve == legit:
                 zero_gap += 1
             e_r = error_factor_from_deltas(primes, deltas, work)
-            with work.local():
+            with localcontext(work.ambient):
                 lhs = abs(legit - psi_eve)
                 rhs = legit * abs(e_r)
                 if rhs == 0 or abs(lhs - rhs) / rhs > Decimal("1e-20"):
@@ -212,15 +212,15 @@ def test_criterion_5_trailing_digit_security(capsys):
             ]
         )
         csi = estimate_csi(ch)
-        r0, r1 = run_protocol_hmac(primes, ch, csi, ctx).rounds[:2]
-        report = eve_attack_half(r0, primes, ch, ctx, second_record=r1)
+        transcript = run_protocol_hmac(primes, ch, csi, ctx)
+        report = eve_attack(transcript, primes, ch, ctx, two_round=True)
         if report.key_equal:
             key_hits += 1
         # each transmitted prime against itself raised to Eve's ratio
         overlaps = []
         for p, r in zip(primes[1:], report.ratios):
             work = sized_exchange([p], [[r]], ctx)
-            with work.local():
+            with localcontext(work.ambient):
                 power = exp(r * ln(p.value, work), work)
             overlaps.append(leading_digit_overlap(p.value, power))
         if any(o > 4 for o in overlaps):
@@ -253,7 +253,7 @@ def test_criterion_6_numerics_round_trip(capsys):
                 break
         if not picks:
             continue
-        with ctx.local():
+        with localcontext(ctx.ambient):
             y = sum(ln(p, ctx) for p in picks)
         try:
             n, distance = nearest_integer(exp(y, ctx))

@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from airkey import adversary, halfduplex
 from airkey import (
@@ -10,8 +10,7 @@ from airkey import (
     PrimeInput,
     draw_channel,
     estimate_csi,
-    eve_attack_full,
-    eve_attack_half,
+    eve_attack,
     exp,
     leading_digit_overlap,
     ln,
@@ -28,16 +27,16 @@ CTX = PrecisionContext(128)
 
 
 def gap(report):
-    with CTX.local():
+    with localcontext(CTX.ambient):
         return abs(report.psi_legit - report.eve.post_value)
 
 
 def forbid_wide(monkeypatch):
-    """Fail any ``ln`` or ``exp`` taken at more digits than ``CTX`` carries.
+    """Fail any log or ``exp`` taken at more digits than ``CTX`` carries.
 
-    Patches the attacks' ``ln`` and the listener step's ``exp``.
+    Patches the attack's ``integer_logs`` and the listener step's ``exp``.
     """
-    for module, name in ((adversary, "ln"), (halfduplex, "exp")):
+    for module, name in ((adversary, "integer_logs"), (halfduplex, "exp")):
         real = getattr(module, name)
 
         def checked(x, ctx, *near, real=real, name=name):
@@ -87,7 +86,7 @@ class TestErrorFactor:
         primes, _ = sample_distinct_primes(4, 6, rng)
         deltas = [Decimal(rng.randrange(-100, 100)) / 10**6 for _ in range(4)]
         got = error_factor_from_deltas(primes, deltas, CTX)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             want = Decimal(1)
             for p, d in zip(primes, deltas):
                 want *= exp(d * ln(p.value, CTX), CTX)
@@ -110,22 +109,23 @@ class TestEveAttackHalf:
         primes, ch, csi = hmac_setup(
             3, 5, taps=lambda ch, rng: [ch.h[i][0] for i in range(3)]
         )
-        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
-        report = eve_attack_half(record, primes, ch, CTX)
+        transcript = run_protocol_hmac(primes, ch, csi, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         assert all(abs(r - 1) < Decimal("1e-100") for r in report.ratios)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             assert abs(1 - report.eve.post_value / report.psi_legit) < Decimal("1e-90")
             assert gap(report) / report.psi_legit < Decimal("1e-90")
         assert not report.key_equal
 
     def test_single_transmitter_power_law(self):
-        # one 6-digit prime through ratio 1.001001 lands near p^1.001001
-        primes = [PrimeInput(100003), PrimeInput(100019)]
+        # one 6-digit prime through ratio 1.001001 lands near p^1.001001;
+        # in round 0 only user 1 transmits
+        primes = [PrimeInput(100019), PrimeInput(100003)]
         ch = draw_channel(2, FadingModel.ideal(), 1, 0, random.Random(0))
         ch = ch.with_eve_taps([Decimal("1.001001"), Decimal("1.001001")])
-        record = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX).rounds[1]
-        report = eve_attack_half(record, primes, ch, CTX)
-        with CTX.local():
+        transcript = run_protocol_hmac(primes, ch, estimate_csi(ch), CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
+        with localcontext(CTX.ambient):
             want = exp(Decimal("1.001001") * ln(100003, CTX), CTX)
         assert abs(report.eve.post_value - want) / want < Decimal("1e-100")
         assert report.digit_overlap <= 3
@@ -140,8 +140,8 @@ class TestEveAttackHalf:
                     for i in range(5)
                 ],
             )
-            record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
-            report = eve_attack_half(record, primes, ch, CTX)
+            transcript = run_protocol_hmac(primes, ch, csi, CTX)
+            report = eve_attack(transcript, primes, ch, CTX)
             assert gap(report) > 0
             assert not report.key_equal
 
@@ -149,10 +149,10 @@ class TestEveAttackHalf:
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - 1)) over the
         # transmitters, the listener's own prime excluded
         primes, ch, csi = hmac_setup(4, 6, taps=lambda ch, rng: rayleigh_taps(4, 1, rng))
-        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
-        report = eve_attack_half(record, primes, ch, CTX)
+        transcript = run_protocol_hmac(primes, ch, csi, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         e_r = error_factor_from_deltas(primes[1:], [r - 1 for r in report.ratios], CTX)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             rhs = report.psi_legit * abs(e_r)
             assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")
 
@@ -162,8 +162,8 @@ class TestEveAttackHalf:
         primes, ch, csi = hmac_setup(
             3, 1, taps=lambda ch, rng: rayleigh_taps(3, 10**7, rng)
         )
-        record = run_protocol_hmac(primes, ch, csi, CTX).rounds[0]
-        report = eve_attack_half(record, primes, ch, CTX)
+        transcript = run_protocol_hmac(primes, ch, csi, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         assert report.eve.post_value.is_infinite()
         assert report.digit_overlap == 0
 
@@ -199,16 +199,16 @@ class TestEveAttackHalf:
         primes, _ = sample_distinct_primes(3, 6, rng)
         ch = draw_channel(3, FadingModel.ideal(), 1, 0, rng)
         csi = estimate_csi(ch)
-        r0, r1 = run_protocol_hmac(primes, ch, csi, CTX).rounds[:2]
-        report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
+        transcript = run_protocol_hmac(primes, ch, csi, CTX)
+        report = eve_attack(transcript, primes, ch, CTX, two_round=True)
         assert report.key_equal
 
     def test_two_round_interception_fails_off_integer(self):
         primes, ch, csi = hmac_setup(
             3, 8, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
-        r0, r1 = run_protocol_hmac(primes, ch, csi, CTX).rounds[:2]
-        report = eve_attack_half(r0, primes, ch, CTX, second_record=r1)
+        transcript = run_protocol_hmac(primes, ch, csi, CTX)
+        report = eve_attack(transcript, primes, ch, CTX, two_round=True)
         assert not report.key_equal
 
 
@@ -218,8 +218,8 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 9, taps=lambda ch, rng: [2 * ch.h_star for _ in range(3)]
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
-        report = eve_attack_full(obs[0], primes, ch, CTX)
+        transcript = run_protocol_fmac(primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         assert report.key_equal
         assert all(r == 2 for r in report.ratios)
 
@@ -230,8 +230,8 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 9, taps=lambda ch, rng: [8 * ch.h_star for _ in range(3)]
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
-        report = eve_attack_full(obs[0], primes, ch, CTX)
+        transcript = run_protocol_fmac(primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         secret = math.prod(p.value for p in primes)
         assert report.eve.post_value > 10 * max(secret, report.psi_legit)
         assert report.key_equal
@@ -244,9 +244,9 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 1, taps=lambda ch, rng: rayleigh_taps(3, 10**4, rng)
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
+        transcript = run_protocol_fmac(primes, ch, CTX)
         forbid_wide(monkeypatch)
-        report = eve_attack_full(obs[0], primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         assert_no_recovery(report)
         assert report.digit_overlap == 0
 
@@ -259,8 +259,8 @@ class TestEveAttackFull:
         ch = ch.with_eve_taps([Decimal("1e-40")] + [
             ch.h[i][0] * (1 + Decimal("1e-30")) for i in range(1, 4)
         ])
-        obs = run_protocol_fmac(primes, ch, ctx).rounds
-        report = eve_attack_full(obs[0], primes, ch, ctx)
+        transcript = run_protocol_fmac(primes, ch, ctx)
+        report = eve_attack(transcript, primes, ch, ctx)
         assert report.psi_legit > 10 * math.prod(p.value for p in primes)
         assert report.digit_overlap > 20
         assert not report.key_equal
@@ -270,8 +270,8 @@ class TestEveAttackFull:
             primes, ch = fmac_setup(
                 4, 4, seed, taps=lambda ch, rng: rayleigh_taps(4, 1, rng)
             )
-            obs = run_protocol_fmac(primes, ch, CTX).rounds
-            report = eve_attack_full(obs[0], primes, ch, CTX)
+            transcript = run_protocol_fmac(primes, ch, CTX)
+            report = eve_attack(transcript, primes, ch, CTX)
             assert not report.key_equal
             assert gap(report) > 0
 
@@ -284,9 +284,9 @@ class TestEveAttackFull:
         h = ((Decimal(0), Decimal(2)), (Decimal(2), Decimal(0)))
         ch = replace(ch, h=h, c=((0, 2), (2, 0)))
         ch = ch.with_eve_taps([Decimal("2.001"), Decimal("1.999")])
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
-        report = eve_attack_full(obs[0], primes, ch, CTX)
-        with CTX.local():
+        transcript = run_protocol_fmac(primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
+        with localcontext(CTX.ambient):
             want = exp(
                 Decimal("2.001") * ln(3, CTX) + Decimal("1.999") * ln(5, CTX), CTX
             )
@@ -300,16 +300,16 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 12, taps=lambda ch, rng: [10**6 * ch.h_star for _ in range(3)]
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
+        transcript = run_protocol_fmac(primes, ch, CTX)
         forbid_wide(monkeypatch)
-        assert_no_recovery(eve_attack_full(obs[0], primes, ch, CTX))
+        assert_no_recovery(eve_attack(transcript, primes, ch, CTX))
 
     def test_reference_gain_below_float_range(self):
         # h_star = 1e-400 is 0 as a float; Eve's quotients h_eve / h_star
         # are exact decimals, so matched integer taps still give her c
         primes, ch = fmac_setup(3, 3, 13, h_star=Decimal("1e-400"))
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
-        report = eve_attack_full(obs[0], primes, ch, CTX)
+        transcript = run_protocol_fmac(primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         assert all(r == int(r) for r in report.ratios)
         assert report.key_equal
 
@@ -320,9 +320,9 @@ class TestEveAttackFull:
             3, 3, 14, taps=lambda ch, rng: rayleigh_taps(3, 1, rng),
             h_star=Decimal("1e-400"),
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
+        transcript = run_protocol_fmac(primes, ch, CTX)
         forbid_wide(monkeypatch)
-        assert_no_recovery(eve_attack_full(obs[0], primes, ch, CTX))
+        assert_no_recovery(eve_attack(transcript, primes, ch, CTX))
 
     def test_factored_identity(self):
         # psi_j - psi_E = psi_j * (1 - prod p_i^(r_i - c_i0)), where the
@@ -330,12 +330,12 @@ class TestEveAttackFull:
         primes, ch = fmac_setup(
             3, 3, 10, taps=lambda ch, rng: rayleigh_taps(3, 1, rng)
         )
-        obs = run_protocol_fmac(primes, ch, CTX).rounds
-        report = eve_attack_full(obs[0], primes, ch, CTX)
+        transcript = run_protocol_fmac(primes, ch, CTX)
+        report = eve_attack(transcript, primes, ch, CTX)
         deltas = [
             report.ratios[i] - (ch.c[i][0] if i != 0 else 0) for i in range(3)
         ]
         e_r = error_factor_from_deltas(primes, deltas, CTX)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             rhs = report.psi_legit * abs(e_r)
             assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")

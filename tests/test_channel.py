@@ -220,7 +220,7 @@ class TestSuperpose:
         )
         s = ln(3, CTX)
         y = superpose([s, None], column(ch, 1), ch.noise_variance)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             assert y == ch.h[0][1] * s
 
     def test_sum_is_exact(self):
@@ -265,7 +265,7 @@ class TestEveObserve:
         # Eve taps equal to link gains: she sees exactly ln(p)
         ch = draw_channel(2, FadingModel.rayleigh(1), 1, 0, random.Random(6))
         ch = ch.with_eve_taps([ch.h[0][1], ch.h[1][0]])
-        with CTX.local():
+        with localcontext(CTX.ambient):
             sig = [ln(5, CTX) / ch.h[0][1], None]
         y = superpose(sig, ch.h_eve, 0)
         assert abs(y - ln(5, CTX)) < Decimal("1e-45")
@@ -274,7 +274,7 @@ class TestEveObserve:
         ch = ideal_channel(2).with_eve_taps([Decimal("0.999"), Decimal("1.001")])
         l2, l3 = ln(2, CTX), ln(3, CTX)
         y = superpose([l2, l3], ch.h_eve, 0)
-        with CTX.local():
+        with localcontext(CTX.ambient):
             want = Decimal("0.999") * l2 + Decimal("1.001") * l3
         assert abs(y - want) < Decimal("1e-45")
 

@@ -54,6 +54,11 @@ class TestConfig:
             ("csi_error", 1.5),
             ("seed", -1),
             ("eve_mode", "both"),
+            # the one fmac exchange has no second round to intercept
+            pytest.param(
+                "eve_mode", dict(FMAC, eve_mode="two_round"),
+                id="eve_mode-two_round-fmac",
+            ),
             # a draw scale * sqrt(-2 ln u) would be infinite or 0 as a float
             ("rayleigh_scale", 1e308),
             ("rayleigh_scale", 5e-324),
@@ -63,7 +68,7 @@ class TestConfig:
     )
     def test_invalid_values(self, field, value):
         with pytest.raises(ConfigError) as e:
-            cfg(**{field: value})
+            cfg(**(value if isinstance(value, dict) else {field: value}))
         assert field in e.value.problems
 
     @pytest.mark.parametrize(

@@ -46,6 +46,11 @@ POINTS = {
         FMAC, n_users=6, c_max=4, eve=True, eve_taps="rayleigh", trials=4, seed=17
     ),
     "fmac-eve-matched": dict(FMAC, n_users=4, c_max=3, eve=True, trials=6, seed=18),
+    # her rebuilt signals recover all six keys; the transmitted ones would
+    # recover four, so this point pins what she hears
+    "fmac-eve-matched-wide": dict(
+        FMAC, n_users=4, c_max=8, eve=True, trials=6, seed=21
+    ),
 }
 
 
