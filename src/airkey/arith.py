@@ -69,7 +69,9 @@ from decimal import (
     Inexact,
     InvalidOperation,
 )
-from functools import cache
+from functools import cache, cached_property
+from itertools import compress, starmap
+from operator import mul, not_
 from typing import NamedTuple
 
 from .errors import NonPositiveInput, Overflow
@@ -210,18 +212,15 @@ def _ln_integer_kernel(n: int):
 class Near(NamedTuple):
     """A product of powers n**e and its log times 2**bits, within ``err`` units.
 
-    :meth:`IntegerLogs.near` builds it; :func:`exp` reduces by it, and
-    multiplies the product out only once its log is near the argument.
+    :meth:`IntegerLogs.near` builds it; :func:`exp` reduces by it, and the
+    full-duplex factor step compares the received integer with ``product``.
     """
 
     powers: tuple[tuple[int, int], ...]
     log: int
     err: int
     bits: int
-
-    @property
-    def product(self) -> int:
-        return math.prod(n**e for n, e in self.powers)
+    product: int
 
 
 @dataclass(frozen=True)
@@ -240,19 +239,30 @@ class IntegerLogs:
     bits: int
 
     def near(self, column) -> Near:
-        """The powers ``integers[i] ** column[i]`` and their product's log.
+        """The powers ``integers[i] ** column[i]``, their product and its log.
 
         The exponents are non-negative ints (or bools).  The log is the
         same sum of ``fixed`` logs, so it is within the summed errors of
-        ln of that product, whatever the exponents.
+        ln of that product, whatever the exponents.  A column of zeros and
+        ones, as an hmac listener's, takes the exchange's totals less its
+        zero entries: the same ints, for the cost of its zeros.
         """
-        powers, log, err = [], 0, 0
-        for n, e, f, r in zip(self.integers, column, self.fixed, self.errors):
-            if e:
-                powers.append((n, e))
-                log += e * f
-                err += e * r
-        return Near(tuple(powers), log, err, self.bits)
+        powers = tuple(compress(zip(self.integers, column), column))
+        if {0, 1}.issuperset(column):
+            log, err, product = self._totals
+            entries = zip(self.integers, self.fixed, self.errors)
+            for n, f, r in compress(entries, map(not_, column)):
+                log, err, product = log - f, err - r, product // n
+        else:
+            log = sum(map(mul, column, self.fixed))
+            err = sum(map(mul, column, self.errors))
+            product = math.prod(starmap(pow, powers))
+        return Near(powers, log, err, self.bits, product)
+
+    @cached_property
+    def _totals(self) -> tuple[int, int, int]:
+        """The sums of ``fixed`` and ``errors``, and the product of ``integers``."""
+        return sum(self.fixed), sum(self.errors), math.prod(self.integers)
 
 
 def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
@@ -523,17 +533,22 @@ def _ln_smooth_kernel(n: int, s: int, exps, w: int):
     1/21 for the nearest s (n = 11).  Each series term is the last times
     (n - s)**2 // (n + s)**2, a product and a quotient of a w-bit int by
     short ones, so a term costs linear time, and gains at least 8.7 bits.
-    A term is within 1.01 units, since z**2 <= 1/441 damps earlier errors,
-    and dividing it by i adds 1; the tail left when a term reaches 0 is
-    below 1.  The logs of 2, 3, 5 and 7 are summed at kb more bits, which
-    keep their error below 1 unit.
+    Where (n + s)**2 is wider than one 30-bit limb of a CPython int, the
+    term is divided by n + s twice instead, which gives the same int:
+    floor(floor(x / t) / t) = floor(x / t**2).  A term is within 1.01
+    units, since z**2 <= 1/441 damps earlier errors, and dividing it by i
+    adds 1; the tail left when a term reaches 0 is below 1.  The logs of
+    2, 3, 5 and 7 are summed at kb more bits, which keep their error below
+    1 unit.
     """
     d, t = abs(n - s), n + s
     d2, t2 = d * d, t * t
     term = series = (d << w) // t
     i = 1
+    # a divisor below 2**30 takes CPython's one-limb division
+    twice = t2 >> 30
     while term:
-        term = term * d2 // t2
+        term = term * d2 // t // t if twice else term * d2 // t2
         i += 2
         series += term // i
     kb = sum(exps).bit_length() + 2
@@ -554,7 +569,7 @@ def _exp_near(x: Decimal, near: Near):
     P E is then scaled to about w bits.  None when d is not that small or
     P is wider than w bits.
     """
-    _, log, err, w = near
+    _, log, err, w, product = near
     k = int(w * _LOG10_2) + 2
     # x * 10**k truncated, so X is within 1.1 units of x * 2**w
     X = (int(x.scaleb(k, EXACT)) << w) // 10**k
@@ -562,7 +577,6 @@ def _exp_near(x: Decimal, near: Near):
     e = err + 2
     if (abs(D) + e) >> (2 * w // 3):
         return None
-    product = near.product
     s = product.bit_length() - 1
     if s > w:
         return None

@@ -13,11 +13,11 @@ and at each receiver the listener step :func:`airkey.halfduplex.receive`,
 which rejects a value with ``not-near-integer`` or ``not-a-prime-product``,
 then the factor step :func:`factor`, which rejects a product whose cofactor
 resists the effort budget with ``factor-bound-exceeded``.  A legitimate
-receiver's factor step first divides out the exchange's primes below
-``integers.SMOOTH_BOUND``, without testing them again; by unique
-factorization its exponent map is the one the general factorizer finds,
-only sooner.  The eavesdropper's full-duplex attack runs the same two steps
-without those hints.
+receiver whose integer equals the product its column of c names, all of
+whose primes are at most ``integers.SMOOTH_BOUND``, takes the column as its
+exponent map: by unique factorization it is the map the general factorizer
+returns for such an integer, by its small-prime gcd alone.  Every other
+integer, and the eavesdropper's, is factorized.
 
 Each receiver's ``exp`` is reduced by the product its column of c names,
 with that product's log summed from the exchange's fixed-point logs of
@@ -29,13 +29,12 @@ digit of it; noise takes the full kernel.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 
-from .arith import PrecisionContext, integer_logs
+from .arith import Near, PrecisionContext, integer_logs
 from .channel import ChannelState
 from .errors import DuplicatePrimeDetected, FactorBoundExceeded
 from .halfduplex import pre_process, receive, sized_exchange
-from .integers import PrimeInput, factorize, radical
+from .integers import SMOOTH_BOUND, Factorization, PrimeInput, factorize, radical
 from .transcript import ProtocolTranscript, Reception
 
 
@@ -47,18 +46,24 @@ def _check_distinct(primes: list[PrimeInput]):
         )
 
 
-def factor(r: Reception, known: Iterable[PrimeInput] = ()) -> Reception:
+def factor(r: Reception, near: Near | None = None) -> Reception:
     """Factorize an accepted reception; ``recovered`` becomes the radical.
 
-    Fills ``exponent_map``.  ``known`` are primes the listener may divide
-    out, untested, before the general factorizer runs (see
-    :func:`airkey.integers.factorize`); they change its cost, never its
-    result.  A cofactor that resists the effort budget leaves ``recovered``
-    None with the failure ``factor-bound-exceeded``.
+    Fills ``exponent_map``.  When ``recovered`` equals the product of
+    ``near``, the listener's column, and all its primes are at most
+    ``SMOOTH_BOUND``, its powers are the map :func:`factorize` would return
+    and are taken as it; every other integer is factorized.  A cofactor
+    that resists the effort budget leaves ``recovered`` None with the
+    failure ``factor-bound-exceeded``.
     """
     if r.failure is None:
         try:
-            r.exponent_map = factorize(r.recovered, known=known)
+            if near is not None and r.recovered == near.product and all(
+                p <= SMOOTH_BOUND for p, _ in near.powers
+            ):
+                r.exponent_map = Factorization(tuple(sorted(near.powers)))
+            else:
+                r.exponent_map = factorize(r.recovered)
             r.recovered = radical(r.exponent_map)
         except FactorBoundExceeded:
             r.recovered, r.failure = None, "factor-bound-exceeded"
@@ -91,11 +96,11 @@ def run_protocol_fmac(
     work = sized_exchange(primes, columns, ctx)
     logs = integer_logs([p.value for p in primes], work)
     signals = [pre_process(log, [ch.h_star], work)[0] for log in logs.values]
-    rounds = [
-        factor(receive(
+    rounds = []
+    for j, column in enumerate(columns):
+        near = logs.near(column)
+        rounds.append(factor(receive(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
-            ch.noise_variance, rng, logs.near(columns[j]),
-        ), primes)
-        for j in range(ch.n_users)
-    ]
+            ch.noise_variance, rng, near,
+        ), near))
     return ProtocolTranscript.of("fmac", 1, primes, rounds)

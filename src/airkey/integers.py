@@ -1,15 +1,15 @@
 """Exact integer machinery: probable primes, factorization, radicals.
 
-Recovery needs a general-purpose (desk-scale) factorizer.  A caller may
-name primes it expects (the legitimate full-duplex receiver names the
-exchange's primes); those below a bound are divided out first.  Small
-factors left are found with one gcd against the cached product of all
-primes below the bound: the gcd is the product of those that divide the
-input, and trial division of it by the sieve names them, each divided out
-at its full power.  Whatever survives goes to Brent's variant of Pollard's
-rho under an explicit effort budget.  The gcd finds every prime below the
-bound at its full power, so by unique factorization the named primes change
-the cost, never the result.
+Recovery needs a general-purpose (desk-scale) factorizer.  Small factors
+are found with one gcd against the cached product of all primes up to a
+bound: the gcd is the product of those that divide the input, and trial
+division of it by the sieve names them, each divided out at its full
+power.  Whatever survives goes to Brent's variant of Pollard's rho under
+an explicit effort budget.  An integer whose primes are all up to the
+bound is factored by the gcd alone and never fails, so a caller holding
+prime powers that multiply out to it holds, by unique factorization, the
+map :func:`factorize` would return (the legitimate full-duplex receiver's
+column does).
 
 Primality starts with one gcd against the product of the 168 primes below
 1009.  Every composite below 1009**2 has a prime factor below 1009, so that
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -308,33 +307,18 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     return g, spent
 
 
-def factorize(
-    n: int, rho_effort: int = DEFAULT_RHO_EFFORT, known: Iterable[PrimeInput] = ()
-) -> Factorization:
+def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
     """Complete prime factorization of ``n`` >= 2.
 
-    Each prime of ``known`` that is <= SMOOTH_BOUND is divided out first,
-    untested, since a ``PrimeInput`` is prime; larger ones are ignored.  The
-    small-prime gcd and rho then run on what is left, and not at all when
-    that is 1.  Since the gcd finds every prime <= SMOOTH_BOUND at its full
-    power, the hints leave the result, the cofactor rho sees and every
-    failure unchanged.
+    The small-prime gcd divides out every prime <= SMOOTH_BOUND at its full
+    power; rho runs on the cofactor left, and not at all when that is 1.
 
     Raises :class:`FactorBoundExceeded` when a composite cofactor resists
     the rho effort budget (deterministic: rho parameters are fixed).
     """
     if n < 2:
         raise ValueError("factorize requires n >= 2")
-    exponents: dict[int, int] = {}
-    m = n
-    for p in known:
-        if p.value <= SMOOTH_BOUND:
-            m, e = _divide_out(m, p.value)
-            if e:
-                exponents[p.value] = e
-    if m > 1:
-        small, m = _strip_small_primes(m)
-        exponents.update(small)
+    exponents, m = _strip_small_primes(n)
 
     # Pending chunks jointly cover every prime left in m; each discovered
     # prime is stripped from m itself, so stale chunks are harmless.

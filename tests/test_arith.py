@@ -501,6 +501,35 @@ class TestSmoothNeighbourLn:
                 assert ln(p, ctx).as_tuple() == want.as_tuple()
         assert calls["undecided"] > 0
 
+    @pytest.mark.parametrize("digits", [64, 256, 1024])
+    def test_series_terms_match_one_division_by_t_squared(self, digits):
+        # the kernel divides each term by t twice; floor(floor(x/t)/t) =
+        # floor(x/t**2), so its fixed-point logs and errors are those of
+        # the series that divides by t * t once
+        rng = random.Random(digits + 2)
+        ints = [rng.randrange(max(2, 10 ** (d - 1)), 10**d) for d in range(1, 13)]
+        ints += [sample_prime(d, rng).value for d in range(1, 13)]
+        logs = arith.integer_logs(ints, PrecisionContext(digits))
+        want = [one_division_series(n, logs.bits) for n in ints]
+        assert list(zip(logs.fixed, logs.errors)) == want
+
+
+def one_division_series(n: int, w: int) -> tuple[int, int]:
+    """ln n * 2**w and its error bound, each series term divided by t * t once."""
+    s, exps = arith._smooth_neighbour(n)
+    d, t = abs(n - s), n + s
+    d2, t2 = d * d, t * t
+    term = series = (d << w) // t
+    i = 1
+    while term:
+        term = term * d2 // t2
+        i += 2
+        series += term // i
+    kb = sum(exps).bit_length() + 2
+    names = ("ln2", "ln3", "ln5", "ln7")
+    logs = sum(e * arith._constant(name, w + kb) for e, name in zip(exps, names))
+    return (logs >> kb) + 2 * (series if n >= s else -series), 2 * i + 8
+
 
 class TestMachinBasis:
     """ln 2, 3, 5, 7 and 10 from the same four acoth sums."""

@@ -18,7 +18,9 @@ from airkey import (
     run_protocol_fmac,
     sample_distinct_primes,
 )
+from airkey.arith import integer_logs
 from airkey.harness import run_trial
+from airkey.transcript import Reception
 from test_oracle import POINTS
 from test_reduced_exp import N64
 
@@ -177,20 +179,21 @@ NOISELESS = pytest.mark.parametrize(
 )
 
 
-class TestFactorHints:
-    """Legitimate receivers divide the exchange's primes out, untested,
-    before the small-prime gcd; Eve's factor step gets no hints."""
+class TestFactorConfirmation:
+    """A legitimate receiver whose integer equals its column's product, all
+    of whose primes are at most SMOOTH_BOUND, takes the column as its
+    exponent map; every other integer, and Eve's, is factorized."""
 
     @staticmethod
-    def stage_calls(monkeypatch) -> list:
+    def counted(monkeypatch, module, name) -> list:
         calls = []
-        real = integers._strip_small_primes
+        real = getattr(module, name)
 
-        def counted(n):
+        def recorded(n, *args, **kwargs):
             calls.append(n)
-            return real(n)
+            return real(n, *args, **kwargs)
 
-        monkeypatch.setattr(integers, "_strip_small_primes", counted)
+        monkeypatch.setattr(module, name, recorded)
         return calls
 
     @staticmethod
@@ -199,17 +202,18 @@ class TestFactorHints:
         for trial in range(cfg.trials):
             _, transcript, _ = run_trial(cfg, trial)
             assert all(r.exponent_map is not None for r in transcript.rounds)
+        return cfg
 
     @NOISELESS
-    def test_noiseless_receivers_skip_the_product_tree(self, fields, monkeypatch):
-        calls = self.stage_calls(monkeypatch)
+    def test_noiseless_receivers_never_factorize(self, fields, monkeypatch):
+        calls = self.counted(monkeypatch, fullduplex, "factorize")
         self.run_noiseless(fields)
         assert calls == []
 
     @NOISELESS
     def test_noiseless_receivers_test_no_primality(self, fields, monkeypatch):
         tests, factoring = [], []
-        real_test, real_factorize = integers.is_probable_prime, fullduplex.factorize
+        real_test, real_factor = integers.is_probable_prime, fullduplex.factor
 
         def counted(n):
             if factoring:
@@ -219,17 +223,54 @@ class TestFactorHints:
         def flagged(*args, **kwargs):
             factoring.append(True)
             try:
-                return real_factorize(*args, **kwargs)
+                return real_factor(*args, **kwargs)
             finally:
                 factoring.pop()
 
         monkeypatch.setattr(integers, "is_probable_prime", counted)
-        monkeypatch.setattr(fullduplex, "factorize", flagged)
+        monkeypatch.setattr(fullduplex, "factor", flagged)
         self.run_noiseless(fields)
         assert tests == []
 
-    def test_eve_still_walks_the_product_tree(self, monkeypatch):
-        calls = self.stage_calls(monkeypatch)
+    def test_six_digit_receivers_factorize_once_each(self, monkeypatch):
+        # primes above SMOOTH_BOUND: the column is not taken, so a budget
+        # overrun is still reported as it was
+        calls = self.counted(monkeypatch, fullduplex, "factorize")
+        fields = dict(protocol="fmac", fading="integer", c_max=2, prime_digits=6,
+                      n_users=3, trials=2, seed=1)
+        cfg = self.run_noiseless(fields)
+        assert len(calls) == cfg.trials * cfg.n_users
+
+    @pytest.mark.parametrize(
+        "cofactor, budget, fails",
+        [
+            (3, integers.DEFAULT_RHO_EFFORT, False),
+            (3, 10, False),
+            (1_000_003 * 9_999_991, integers.DEFAULT_RHO_EFFORT, False),
+            (1_000_003 * 9_999_991, 10, True),
+        ],
+        ids=["smooth", "smooth-tiny-budget", "large", "large-tiny-budget"],
+    )
+    def test_wrong_integers_are_factorized(self, cofactor, budget, fails, monkeypatch):
+        # each receiver's integer is its column's product times a cofactor
+        monkeypatch.setattr(
+            fullduplex, "factorize", lambda n: integers.factorize(n, rho_effort=budget)
+        )
+        primes, _ = sample_distinct_primes(6, 5, random.Random(8))
+        ch = integer_channel(6, 8, 8)
+        logs = integer_logs([p.value for p in primes], CTX)
+        for column in zip(*ch.c):
+            near = logs.near(column)
+            n = near.product * cofactor
+            r = fullduplex.factor(Reception(0, [], 0, n, n, 0, None), near)
+            if fails:
+                assert (r.recovered, r.failure) == (None, "factor-bound-exceeded")
+            else:
+                want = integers.factorize(n)
+                assert r.exponent_map == want and r.recovered == integers.radical(want)
+
+    def test_eve_still_factorizes(self, monkeypatch):
+        calls = self.counted(monkeypatch, integers, "_strip_small_primes")
         cfg = ExperimentConfig(**POINTS["fmac-eve-matched"]).validate()
         factored = 0
         for trial in range(cfg.trials):

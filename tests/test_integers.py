@@ -1,8 +1,10 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
+from airkey import fullduplex
 from airkey import (
     FactorBoundExceeded,
     Factorization,
@@ -13,12 +15,14 @@ from airkey import (
     sample_distinct_primes,
     sample_prime,
 )
+from airkey.arith import PrecisionContext, integer_logs
 from airkey.integers import (
     _PRIME_COUNT,
     SMOOTH_BOUND,
     _strip_small_primes,
     sieve,
 )
+from airkey.transcript import Reception
 
 # psi_k of OEIS A014233, the least composite that passes Miller-Rabin to each
 # of the first k prime bases, for the k at which it grows (k = 1..7, 9, 12, 13).
@@ -361,27 +365,47 @@ def factor_or_message(n: int, **kw):
         return str(e)
 
 
-def hints(values):
-    return [PrimeInput(v) for v in values]
+def accepted(n: int) -> Reception:
+    """A reception that heard ``n`` and accepted it."""
+    return Reception(0, [], Decimal(0), Decimal(n), n, Decimal(0), None)
+
+
+def factor_with(n: int, pairs):
+    """``fullduplex.factor`` of ``n`` with the column of (prime, exponent) ``pairs``.
+
+    The exponent map's factors, or the failure code.
+    """
+    pairs = list(pairs)
+    logs = integer_logs([p for p, _ in pairs], PrecisionContext(16))
+    r = fullduplex.factor(accepted(n), logs.near([e for _, e in pairs]))
+    if r.failure is not None:
+        return r.failure
+    assert r.recovered == radical(r.exponent_map)
+    return r.exponent_map.factors
 
 
 class TestKnownPrimes:
-    """Primes named to ``factorize`` change its cost, never its result."""
+    """A receiver's column, the primes it knows, changes the factor step's
+    cost, never its result: ``fullduplex.factor`` with the column's ``Near``
+    returns what ``factorize`` returns."""
 
     def test_random_products_with_their_own_primes(self):
         rng = random.Random(29)
         small = sieve(SMOOTH_BOUND)
         for _ in range(60):
             primes = rng.sample(small, rng.randrange(1, 14))
-            n, recipe = factor_oracle({p: rng.randrange(1, 9) for p in primes})
-            known = hints(rng.sample(primes, rng.randrange(0, len(primes) + 1)))
-            assert factorize(n, known=known).factors == factorize(n).factors == recipe
+            picks = {p: rng.randrange(1, 9) for p in primes}
+            n, recipe = factor_oracle(picks)
+            part = rng.sample(sorted(picks.items()), rng.randrange(0, len(primes)))
+            assert factor_with(n, picks.items()) == factor_with(n, part) == recipe
+            assert factorize(n).factors == recipe
 
     @pytest.mark.parametrize("large", [100_003, 1_000_003, 9_999_991])
     def test_one_prime_above_the_bound(self, large):
-        n, recipe = factor_oracle({3: 2, 65_537: 5, 99_991: 1, large: 2})
-        assert factorize(n, known=hints([3, 65_537, 99_991, large])).factors == recipe
-        assert factorize(n, known=hints([large])).factors == recipe
+        picks = {3: 2, 65_537: 5, 99_991: 1, large: 2}
+        n, recipe = factor_oracle(picks)
+        assert factor_with(n, picks.items()) == recipe
+        assert factor_with(n, [(large, 2)]) == recipe
 
     @pytest.mark.parametrize(
         "known",
@@ -395,12 +419,28 @@ class TestKnownPrimes:
     )
     def test_entries_that_are_not_factors_are_ignored(self, known):
         n, recipe = factor_oracle({7: 3, 11: 1, 13: 2, 1_000_003: 1})
-        assert factorize(n, known=hints(known)).factors == recipe
+        assert factor_with(n, [(p, 1) for p in known]) == recipe
 
-    def test_budget_failure_keeps_its_message(self):
+    def test_budget_failure_keeps_its_message(self, monkeypatch):
         p, q = 1_000_003, 9_999_991
-        n, _ = factor_oracle({2: 3, 11: 1, 65_537: 2, 99_991: 1, p: 1, q: 1})
+        picks = {2: 3, 11: 1, 65_537: 2, 99_991: 1, p: 1, q: 1}
+        n, _ = factor_oracle(picks)
         bare = factor_or_message(n, rho_effort=10)
         assert "resisted the rho effort budget" in bare
-        for known in ([2, 11, 65_537, 99_991], [2, 11, 65_537, 99_991, p, q], [13]):
-            assert factor_or_message(n, rho_effort=10, known=hints(known)) == bare
+        messages = []
+
+        def tight(m):
+            try:
+                return factorize(m, rho_effort=10)
+            except FactorBoundExceeded as e:
+                messages.append(str(e))
+                raise
+
+        monkeypatch.setattr(fullduplex, "factorize", tight)
+        # the column of every prime multiplies out to n, but two of its
+        # primes lie above the bound, so it is not taken as the map
+        small = [(2, 3), (11, 1), (65_537, 2), (99_991, 1)]
+        columns = [small, picks.items(), [(13, 1)]]
+        for pairs in columns:
+            assert factor_with(n, pairs) == "factor-bound-exceeded"
+        assert messages == [bare] * len(columns)

@@ -144,3 +144,25 @@ def test_kernel_brackets_hold():
             man, err, shift, _ = arith._exp_near(x, logs.near(column))
             exact = oracle.multiply(x.exp(oracle), Decimal(2**shift))
             assert abs(oracle.subtract(man, exact)) <= err
+
+
+@pytest.mark.parametrize("c_max", [1, 8])
+def test_near_equals_the_direct_sums(c_max):
+    # a column of zeros and ones is taken from the exchange's totals, any
+    # other column summed directly; both give the ints of the direct sums
+    rng = random.Random(6 + c_max)
+    for n in (2, 5, 16):
+        primes = [sample_prime(rng.randrange(1, 8), rng).value for _ in range(n)]
+        logs = integer_logs(primes, PrecisionContext(64))
+        columns = [[rng.randint(0, c_max) for _ in primes] for _ in range(10)]
+        # each hmac listener's column of bools, and one of zeros
+        columns += [[i != j for i in range(n)] for j in range(n)] + [[0] * n]
+        for column in columns:
+            near = logs.near(column)
+            entries = [(p, c, f, r) for p, c, f, r in
+                       zip(primes, column, logs.fixed, logs.errors) if c]
+            assert near.powers == tuple((p, c) for p, c, _, _ in entries)
+            assert near.log == sum(c * f for _, c, f, _ in entries)
+            assert near.err == sum(c * r for _, c, _, r in entries)
+            assert near.product == math.prod(p**c for p, c, _, _ in entries)
+            assert near.bits == logs.bits
