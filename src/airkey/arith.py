@@ -24,30 +24,27 @@ round to ``ctx.digits`` and never choose a precision; ``exp`` raises
 any digit is computed.  Ambient ``+``/``*``/``/`` run at ``digits + GUARD``
 (:attr:`PrecisionContext.ambient`) so sums of logs keep their digits.
 
-``ln`` and ``exp`` take and return Decimals but compute in binary fixed
-point on Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*,
-ch. 4): the argument becomes an int scaled by 2**w, with w the bits of the
-carried digits plus guard bits; it is reduced by multiples of ln 10 and
-ln 2 and summed as a series.  Every kernel step carries a bound on its
-error, and libmpdec rounds both ends of that error bracket half-even to the
-carried digits; when they disagree the result is computed again with twice
-the guard bits (Ziv's test).  Results are therefore correctly rounded,
-within 0.5 ulp and inside the 2-ulp contract, and equal libmpdec's
-``Decimal.ln``/``Decimal.exp`` digit for digit and exponent for exponent.
+Every integer's log and every exponential run in binary fixed point on
+Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4);
+any other log is libmpdec's ``Decimal.ln``.  A fixed-point kernel works
+at w bits, those of the carried digits plus guard bits, and every step
+carries a bound on its error.  libmpdec rounds both ends of that error
+bracket half-even to the carried digits; when they disagree the result is
+computed again with twice the guard bits (Ziv's test).  Results are
+therefore correctly rounded, within 0.5 ulp and inside the 2-ulp contract,
+and equal libmpdec's ``Decimal.ln``/``Decimal.exp`` digit for digit and
+exponent for exponent.
 
-Two cheaper reductions come first where they apply, each decided by its
-own error bracket in the same way:
-
-- The log of an integer n below 10**12 is that of its nearest 7-smooth
-  neighbour s, a sum of the logs of 2, 3, 5 and 7, plus
-  2 atanh((n - s) / (n + s)), whose series terms each cost linear time.
-  Those four logs and ln 10 come from the same four cached acoth sums.
-  Other integers and every non-integer take the general kernel.
-- :func:`integer_logs` keeps an exchange's logs in fixed point, and a
-  listener hands ``exp`` its product P with ln P from them
-  (:meth:`IntegerLogs.near`).  When x - ln P is tiny, e**x =
-  P e**(x - ln P) takes two terms of a series; otherwise, or when that
-  bracket does not decide, the general kernel runs.  The identity holds
+- The log of an integer n = m 2**k + r, m = n >> k below 2**40, is k ln 2
+  plus that of m's nearest 7-smooth neighbour s, a sum of the logs of 2,
+  3, 5 and 7, plus 2 atanh((m - s) / (m + s)) and 2 atanh(r / (n + m 2**k)).
+  Those four logs and ln 10 come from the same four cached atanh sums.
+- e**x reduces x by multiples of ln 10 and ln 2 and sums a series.  A
+  cheaper reduction comes first: :func:`integer_logs` keeps an exchange's
+  logs in fixed point, and a listener hands ``exp`` its product P with
+  ln P from them (:meth:`IntegerLogs.near`).  When x - ln P is tiny,
+  e**x = P e**(x - ln P) takes two terms of a series; otherwise, or when
+  that bracket does not decide, the full kernel runs.  The identity holds
   for every P, so the hint is an argument reduction whose result the
   bracket decides: the product, which a simulator takes from its own
   exponents, can change how fast a result comes, never a digit of it.
@@ -69,7 +66,7 @@ from decimal import (
     Inexact,
     InvalidOperation,
 )
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import compress, starmap
 from operator import mul, not_
 from typing import NamedTuple
@@ -166,47 +163,19 @@ def to_bigreal(value) -> BigReal:
 def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     """Natural logarithm of ``x`` (> 0), correctly rounded to ctx.digits.
 
-    The binary fixed-point kernel rounds half-even, within 0.5 ulp, so the
-    result is inside the 2-ulp contract; ``ln(1)`` is exactly ``0``.
+    An integral ``x`` below 10**40, which covers every prime a config
+    accepts, takes the fixed-point integer kernel; any other ``x`` takes
+    libmpdec's ``Decimal.ln``.  Both round half-even, within 0.5 ulp, so
+    the result is inside the 2-ulp contract; ``ln(1)`` is exactly ``0``.
     """
     x = to_bigreal(x)
     if not x.is_finite() or x <= 0:
         raise NonPositiveInput(f"ln requires a positive finite input, got {x}")
     if x == 1:
         return Decimal(0)
-    return _correctly_rounded(_ln_kernel_of(x), ctx.digits)
-
-
-def _ln_kernel_of(x: Decimal):
-    """The kernel that computes ln x at w bits, as a function of w.
-
-    An integer below 10**12 takes the log of its nearest 7-smooth neighbour
-    plus a short series; every other value the general kernel.
-    """
-    e = x.as_tuple().exponent
-    c = int(x.scaleb(-e, EXACT))
-    adjusted = x.adjusted()
-    if 0 <= adjusted < 12 and (e >= 0 or c % 10**-e == 0):
-        kernel = _ln_integer_kernel(c * 10**e if e >= 0 else c // 10**-e)
-        if kernel is not None:
-            return kernel
-    # Split off the decimal exponent away from 1, where ln x = ln(x/10^j) +
-    # j ln 10 cannot cancel; near 1 keep x whole so no power of 10 is huge.
-    j = adjusted if abs(adjusted) > 1 else 0
-    f = e - j
-    num, den = (c * 10**f, 1) if f >= 0 else (c, 10**-f)
-    return lambda w: _ln_kernel(num, den, j, w)
-
-
-def _ln_integer_kernel(n: int):
-    """The smooth-neighbour kernel of ln n for an integer n >= 1, or None.
-
-    None from 10**12 on, or when the table has no neighbour for ``n``.
-    """
-    near = _smooth_neighbour(n) if n < 10**12 else None
-    if near is None:
-        return None
-    return lambda w: _ln_smooth_kernel(n, *near, w)
+    if x.adjusted() < 40 and x == x.to_integral_value():
+        return _correctly_rounded(partial(_ln_smooth_kernel, int(x)), ctx.digits)
+    return x.ln(_context(ctx.digits))
 
 
 class Near(NamedTuple):
@@ -270,8 +239,8 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
 
     Each kernel runs once, at the first width of Ziv's loop; a log whose
     rounding that width leaves undecided runs the loop, as ``ln`` would.
-    The kernel comes from the int itself, by the integer branch of ``ln``'s
-    kernel choice, and every first try is rounded over one Decimal 2**bits.
+    Every integer, of any size, takes the integer kernel, and every first
+    try is rounded over one Decimal 2**bits.
     """
     bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
     den = Decimal(1 << bits)
@@ -279,11 +248,10 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
     for n in integers:
         if n < 2:
             raise NonPositiveInput(f"integer_logs needs integers >= 2, got {n}")
-        kernel = _ln_integer_kernel(n) or _ln_kernel_of(Decimal(n))
-        man, err, _, _ = kernel(bits)  # an integer's kernel keeps w = bits
+        man, err, _, _ = _ln_smooth_kernel(n, bits)
         value = _round_quotient(man, err, den, 0, ctx.digits)
         if value is None:
-            value = _correctly_rounded(kernel, ctx.digits)
+            value = _correctly_rounded(partial(_ln_smooth_kernel, n), ctx.digits)
         values.append(value)
         fixed.append(man)
         errors.append(err)
@@ -343,7 +311,7 @@ _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
 _ZIV_GUARD = 32  # guard bits of the first try
 
-# ln 2, 3, 5 and 7 as integer combinations of the four sums 2 acoth(q) for
+# ln 2, 3, 5 and 7 as integer combinations of the four sums 2 atanh(1/q) for
 # q = 251, 449, 4801 and 8749, that is ln(126/125), ln(225/224),
 # ln(2401/2400) and ln(4375/4374) (Brent and Zimmermann ch. 4).  Their
 # exponent matrix over 2, 3, 5 and 7 has determinant -1, so it has an
@@ -359,27 +327,39 @@ _MACHIN["ln10"] = tuple(a + b for a, b in zip(_MACHIN["ln2"], _MACHIN["ln5"]))
 # (bits, {name: constant * 2**bits}) at the widest precision computed so far
 _CONSTANTS: tuple[int, dict[str, int]] = (0, {})
 # 7-smooth integers up to 2**bits, sorted: (bits, table), extended on demand
-# up to 2**_SMOOTH_BITS, which every integer below 10**12 lies under
+# up to 2**_SMOOTH_BITS, above the top bits m = n >> k the integer kernel keeps
 _SMOOTH_BITS = 40
 _SMOOTH: tuple[int, array] = (0, array("Q"))
 
 
-def _acoth(q: int, w: int) -> int:
-    """acoth(q) * 2**w for an integer q > 1, low by less than its terms + 2."""
-    q2 = q * q
-    term = (1 << w) // q
-    total, k = term, 3
+def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
+    """atanh(d / t) * 2**w for 0 <= d < t, and i, twice its terms less 1.
+
+    Each series term is the last times d**2 // t**2, a product and a
+    quotient of a w-bit int, so for short d and t a term costs linear time.
+    Where t**2 is wider than one 30-bit limb of a CPython int, the term is
+    divided by t twice instead, which gives the same int:
+    floor(floor(x / t) / t) = floor(x / t**2).  For d / t <= 1/21 a term is
+    within 1.01 units, since (d / t)**2 <= 1/441 damps earlier errors, and
+    dividing it by its odd index adds 1; the tail left when a term reaches
+    0 is below 1.  So the sum is low by less than i + 1 units.
+    """
+    d2, t2 = d * d, t * t
+    term = total = (d << w) // t
+    i = 1
+    # a divisor below 2**30 takes CPython's one-limb division
+    twice = t2 >> 30
     while term:
-        term //= q2
-        total += term // k
-        k += 2
-    return total
+        term = term * d2 // t // t if twice else term * d2 // t2
+        i += 2
+        total += term // i
+    return total, i
 
 
 def _constant(name: str, w: int) -> int:
     """ln 2, 3, 5, 7 or 10 times 2**w, within 3 units.
 
-    All five come from the same four sums 2 acoth(q), computed on first use
+    All five come from the same four sums 2 atanh(1/q), computed on first use
     and kept at the widest precision asked for so far; narrower requests
     shift them down.  At v = bits + extra bits a sum of n terms is low by
     less than 2 (n + 2) units, n <= v / 15 + 1 for q >= 251, and the
@@ -393,7 +373,7 @@ def _constant(name: str, w: int) -> int:
     if bits < w:
         bits = max(w, 2 * bits)
         extra = bits.bit_length() + 10
-        sums = [2 * _acoth(q, bits + extra) for q in _ACOTH_Q]
+        sums = [2 * _atanh(1, q, bits + extra)[0] for q in _ACOTH_Q]
         values = {
             key: sum(c * a for c, a in zip(row, sums)) >> extra
             for key, row in _MACHIN.items()
@@ -403,17 +383,15 @@ def _constant(name: str, w: int) -> int:
 
 
 def _smooth_neighbour(n: int):
-    """The 7-smooth integer nearest ``n`` and its exponents of 2, 3, 5, 7.
+    """The 7-smooth integer nearest ``n`` <= 2**40 and its exponents of 2, 3, 5, 7.
 
-    None for ``n`` beyond the table.  The table is built on first use up
-    to the power of 256 above ``n`` and extended in such steps, so it holds
-    only the range the caller's integers reach: 2 402 entries (19 KB) for
-    primes of up to seven digits, 14 855 (116 KB) at its widest, 2**40.
+    The table is built on first use up to the power of 256 above ``n`` and
+    extended in such steps, so it holds only the range the caller's
+    integers reach: 2 402 entries (19 KB) for primes of up to seven digits,
+    14 855 (116 KB) at its widest, 2**40.
     """
     global _SMOOTH
     bits = -(-(n - 1).bit_length() // 8) * 8  # 2**bits >= n
-    if bits > _SMOOTH_BITS:
-        return None
     if _SMOOTH[0] < bits:
         table = [1]
         for q in (2, 3, 5, 7):
@@ -474,9 +452,7 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
     keep its error below 1 unit of 2**-w.
     """
     w2 = w + nb
-    digits = int(w2 * _LOG10_2) + 2
-    # x * 10**digits truncated, so X is within 1.01 units of x * 2**w2
-    X = (int(x.scaleb(digits, EXACT)) << w2) // 10**digits
+    X = _to_fixed(x, w2)
     L10 = _constant("ln10", w2)
     L2 = _constant("ln2", w2)
     a = X // L10
@@ -487,76 +463,29 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
     return y, err + 3, w - n, a
 
 
-def _ln_kernel(num: int, den: int, j: int, w: int):
-    """ln(num / den * 10**j) as (man, err, shift, 0), num/den in [0.1, 100).
+def _ln_smooth_kernel(n: int, w: int):
+    """ln n as (man, err, w, 0) for an integer n >= 1.
 
-    num/den = m * 2**k with m in [0.75, 1.5).  From a float y0 ~ ln m,
-    ln m = y0 + 2 atanh((m - e**y0) / (m + e**y0)), whose argument is below
-    2**-50, so the atanh series gains about 100 bits a term.  Near 1 the
-    kernel adds the bits that ln x = ln m loses to cancellation.
+    n = m 2**k + r with m = n >> k below 2**40, and s is the 7-smooth
+    integer nearest m, so ln n = ln(s 2**k) + 2 atanh((m - s) / (m + s)) +
+    2 atanh(r / (n + m 2**k)).  The first argument is at most 1/21 (m =
+    11) and has short ints; the second is below 2**-40, as m >= 2**39
+    when k > 0, and is 0 when k = 0.  Twice a sum of i terms is off by less
+    than 2i + 2 units, and the logs of 2, 3, 5 and 7, summed at kb more
+    bits, by less than 2 after the shift.
     """
-    k = num.bit_length() - den.bit_length()
-    if (num << max(-k, 0)) < (den << max(k, 0)):
-        k -= 1
-    if (2 * num << max(-k, 0)) >= (3 * den << max(k, 0)):
-        k += 1
-    if j == 0 and k == 0:
-        w += max(0, den.bit_length() - abs(num - den).bit_length() + 2)
-    one = 1 << w
-    m = (num << (w - k)) // den
-    y0 = int(math.ldexp(math.log1p((m - one) / one), 60)) << (w - 60)
-    ey0, err = _exp_fixed(y0, w)
-    z = ((m - ey0) << w) // (m + ey0)
-    term = series = abs(z)
-    z2 = (term * term) >> w
-    i = 3
-    while term:
-        term = (term * z2) >> w
-        series += term // i
-        i += 2
-    man = y0 + 2 * (series if z >= 0 else -series)
-    if k or j:
-        kb = (abs(k) + abs(j)).bit_length() + 2
-        wide = w + kb
-        logs = k * _constant("ln2", wide)
-        if j:
-            logs += j * _constant("ln10", wide)
-        man += logs >> kb
-    # z is within err + 2 units, each series term within 2
-    return man, 3 * err + 2 * i + 12, w, 0
-
-
-def _ln_smooth_kernel(n: int, s: int, exps, w: int):
-    """ln n as (man, err, w, 0) from s, a 7-smooth integer near n.
-
-    ln n = sum e_q ln q + 2 atanh(z), z = (n - s) / (n + s), where |z| <=
-    1/21 for the nearest s (n = 11).  Each series term is the last times
-    (n - s)**2 // (n + s)**2, a product and a quotient of a w-bit int by
-    short ones, so a term costs linear time, and gains at least 8.7 bits.
-    Where (n + s)**2 is wider than one 30-bit limb of a CPython int, the
-    term is divided by n + s twice instead, which gives the same int:
-    floor(floor(x / t) / t) = floor(x / t**2).  A term is within 1.01
-    units, since z**2 <= 1/441 damps earlier errors, and dividing it by i
-    adds 1; the tail left when a term reaches 0 is below 1.  The logs of
-    2, 3, 5 and 7 are summed at kb more bits, which keep their error below
-    1 unit.
-    """
-    d, t = abs(n - s), n + s
-    d2, t2 = d * d, t * t
-    term = series = (d << w) // t
-    i = 1
-    # a divisor below 2**30 takes CPython's one-limb division
-    twice = t2 >> 30
-    while term:
-        term = term * d2 // t // t if twice else term * d2 // t2
-        i += 2
-        series += term // i
+    k = max(n.bit_length() - _SMOOTH_BITS, 0)
+    m = n >> k
+    s, exps = _smooth_neighbour(m)
+    exps[0] += k
+    near, i = _atanh(abs(m - s), m + s, w)
+    far, j = _atanh(n - (m << k), n + (m << k), w)
     kb = sum(exps).bit_length() + 2
     wide = w + kb
     names = ("ln2", "ln3", "ln5", "ln7")
     logs = sum(e * _constant(name, wide) for e, name in zip(exps, names))
-    man = (logs >> kb) + 2 * (series if n >= s else -series)
-    return man, 2 * i + 8, w, 0
+    man = (logs >> kb) + 2 * (near if m >= s else -near) + 2 * far
+    return man, 2 * (i + j) + 6, w, 0
 
 
 def _exp_near(x: Decimal, near: Near):
@@ -570,10 +499,7 @@ def _exp_near(x: Decimal, near: Near):
     P is wider than w bits.
     """
     _, log, err, w, product = near
-    k = int(w * _LOG10_2) + 2
-    # x * 10**k truncated, so X is within 1.1 units of x * 2**w
-    X = (int(x.scaleb(k, EXACT)) << w) // 10**k
-    D = X - log
+    D = _to_fixed(x, w) - log
     e = err + 2
     if (abs(D) + e) >> (2 * w // 3):
         return None
@@ -583,6 +509,12 @@ def _exp_near(x: Decimal, near: Near):
     E = (1 << w) + D + ((D * D) >> (w + 1))
     # P < 2**(s+1), so shifting P E by s bits leaves it within 2 (2e + 2) + 1
     return (product * E) >> s, 4 * e + 5, w - s, 0
+
+
+def _to_fixed(x: Decimal, w: int) -> int:
+    """x * 2**w, from x * 10**k truncated, within 1.1 units."""
+    k = int(w * _LOG10_2) + 2
+    return (int(x.scaleb(k, EXACT)) << w) // 10**k
 
 
 def _correctly_rounded(kernel, digits: int) -> Decimal:

@@ -173,7 +173,9 @@ class TestAgreesWithLibmpdec:
 
     @pytest.mark.parametrize("x", ["1E-50", "-1E-50", "7E-300", "1E-601"])
     def test_ln_next_to_one(self, x):
-        # ln(1 + d) ~ d: the kernel adds the bits lost to cancellation
+        # ln(1 + d) ~ d, where fixed point would cancel: no integer, so
+        # libmpdec's ln, never the integer kernel
+        assert kernel_inputs(1 + Decimal(x)) == set()
         ctx = PrecisionContext(600)
         y = 1 + Decimal(x)
         assert ln(y, ctx).as_tuple() == y.ln(libmpdec(600)).as_tuple()
@@ -423,9 +425,19 @@ class TestPrecisionContext:
         assert Decimal(str(v)) == v
 
 
-def _kernel_name(x) -> str:
-    """Which ln kernel ``x`` takes: the smooth-neighbour one or the general."""
-    return arith._ln_kernel_of(Decimal(x)).__code__.co_names[0]
+def kernel_inputs(x) -> set[int]:
+    """The integers ``ln(x)`` hands the integer kernel: empty for libmpdec."""
+    calls = set()
+    kernel = arith._ln_smooth_kernel
+
+    def recorded(n, w):
+        calls.add(n)
+        return kernel(n, w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "_ln_smooth_kernel", recorded)
+        ln(Decimal(x), PrecisionContext(16))
+    return calls
 
 
 class TestSmoothNeighbourLn:
@@ -438,7 +450,7 @@ class TestSmoothNeighbourLn:
         for d in range(1, 13):
             for _ in range(2 if digits == 1700 else 5):
                 p = sample_prime(d, rng).value
-                assert _kernel_name(p) == "_ln_smooth_kernel"
+                assert kernel_inputs(p) == {p}
                 got = ln(p, ctx)
                 assert got.as_tuple() == Decimal(p).ln(libmpdec(digits)).as_tuple(), p
 
@@ -453,17 +465,75 @@ class TestSmoothNeighbourLn:
 
     @pytest.mark.parametrize("x", ["11", "7.000", "1E+11", "999999999989", "4.2E+6"])
     def test_integral_decimals_in_any_form(self, x):
-        assert _kernel_name(x) == "_ln_smooth_kernel"
+        assert kernel_inputs(x) == {int(Decimal(x))}
         for digits in (16, 200):
             got = ln(Decimal(x), PrecisionContext(digits))
             assert got.as_tuple() == Decimal(x).ln(libmpdec(digits)).as_tuple()
 
-    @pytest.mark.parametrize("x", [10**12 + 39, 2**89 - 1, "12.5", "0.5"])
-    def test_beyond_the_table_and_non_integers_fall_back(self, x):
-        assert _kernel_name(x) == "_ln_kernel"
+    @pytest.mark.parametrize(
+        "x, integral",
+        [(10**12 + 39, True), (2**89 - 1, True), ("12.5", False), ("0.5", False),
+         (10**40 - 1, True), (10**40, False)],
+        ids=["10**12+39", "2**89-1", "12.5", "0.5", "10**40-1", "10**40"],
+    )
+    def test_big_integers_take_the_kernel_others_libmpdec(self, x, integral):
+        # every integral x below 10**40 takes the integer kernel, past the
+        # smooth table's 2**40 too; any other x, 10**40 included, libmpdec's
+        assert kernel_inputs(x) == ({int(x)} if integral else set())
         for digits in (16, 384):
             got = ln(Decimal(x), PrecisionContext(digits))
             assert got.as_tuple() == Decimal(x).ln(libmpdec(digits)).as_tuple()
+
+    @pytest.mark.parametrize("digits", [16, 64, 384, 1700])
+    def test_integers_of_thirteen_to_forty_digits(self, digits):
+        # past 2**40 the kernel adds 2 atanh(r / (n + m 2**k)) to the log of
+        # the top bits m = n >> k
+        rng = random.Random(digits + 3)
+        step = 4 if digits == 1700 else 1
+        ints = [rng.randrange(10 ** (d - 1), 10**d) for d in range(13, 41, step)]
+        ints += [sample_prime(d, rng).value for d in range(13, 33, step)]
+        ctx = PrecisionContext(digits)
+        logs = arith.integer_logs(ints, ctx)
+        for n, value in zip(ints, logs.values):
+            want = Decimal(n).ln(libmpdec(digits)).as_tuple()
+            assert value.as_tuple() == want, n
+            assert ln(n, ctx).as_tuple() == want, n
+
+    @pytest.mark.parametrize(
+        "n", [2**40 - 1, 2**40, 2**40 + 1, 3**5 * 7**2 * 2**100],
+        ids=["2**40-1", "2**40", "2**40+1", "s*2**100"],
+    )
+    @pytest.mark.parametrize("digits", [16, 64, 384])
+    def test_edges_of_the_top_bits(self, n, digits):
+        # 2**40 - 1 keeps all its bits; 2**40 and s * 2**100 split off
+        # r = 0, where the second series is 0; 2**40 + 1 leaves r = 1
+        ctx = PrecisionContext(digits)
+        want = Decimal(n).ln(libmpdec(digits)).as_tuple()
+        assert ln(n, ctx).as_tuple() == want
+        assert arith.integer_logs([n], ctx).values[0].as_tuple() == want
+
+    def test_fixed_logs_of_wide_integers_within_their_errors(self):
+        rng = random.Random(11)
+        for digits in (16, 64, 384):
+            ints = [rng.randrange(10 ** (d - 1), 10**d) for d in (13, 20, 32, 40, 500)]
+            ints.append(3**5 * 7**2 * 2**100 + 1)
+            logs = arith.integer_logs(ints, PrecisionContext(digits))
+            oracle = arith._context(2 * digits + 40)
+            scale = Decimal(2**logs.bits)
+            for n, man, err in zip(ints, logs.fixed, logs.errors):
+                exact = oracle.multiply(Decimal(n).ln(oracle), scale)
+                assert abs(oracle.subtract(man, exact)) <= err, n
+
+    @pytest.mark.parametrize("digits", [64, 600])
+    def test_integer_logs_of_wide_integers_equal_ln(self, digits):
+        # ln takes libmpdec from 10**40 on and integer_logs the kernel at
+        # any size, as for a listener's wrong hints P - 1 and P + 1
+        rng = random.Random(digits)
+        ctx = PrecisionContext(digits)
+        for _ in range(3):
+            n = rng.randrange(10**499, 10**500)
+            got = arith.integer_logs([n], ctx).values[0]
+            assert got.as_tuple() == ln(n, ctx).as_tuple()
 
     def test_table_bounds_the_series_argument_and_its_size(self):
         # the kernel's error bound assumes |z| <= 1/21 for every integer the
