@@ -28,17 +28,20 @@ Every integer's log and every exponential run in binary fixed point on
 Python ints (Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4);
 any other log is libmpdec's ``Decimal.ln``.  A fixed-point kernel works
 at w bits, those of the carried digits plus guard bits, and every step
-carries a bound on its error.  libmpdec rounds both ends of that error
-bracket half-even to the carried digits; when they disagree the result is
-computed again with twice the guard bits (Ziv's test).  Results are
-therefore correctly rounded, within 0.5 ulp and inside the 2-ulp contract,
-and equal libmpdec's ``Decimal.ln``/``Decimal.exp`` digit for digit and
-exponent for exponent.
+carries a bound on its error.  Both ends of that error bracket are rounded
+half-even to the carried digits, each by one integer product with a power
+of ten and a shift (libmpdec rounds the rare end that is exact or a tie);
+when they disagree the result is computed again with twice the guard bits
+(Ziv's test).  Results are therefore correctly rounded, within 0.5 ulp and
+inside the 2-ulp contract, and equal libmpdec's ``Decimal.ln``/``Decimal.exp``
+digit for digit and exponent for exponent.
 
-- The log of an integer n = m 2**k + r, m = n >> k below 2**40, is k ln 2
-  plus that of m's nearest 7-smooth neighbour s, a sum of the logs of 2,
-  3, 5 and 7, plus 2 atanh((m - s) / (m + s)) and 2 atanh(r / (n + m 2**k)).
-  Those four logs and ln 10 come from the same four cached atanh sums.
+- The log of an integer n is that of 2**k s plus 2 atanh((n - 2**k s) /
+  (n + 2**k s)), where s is the integer nearest the top bits n >> k, below
+  2**18, whose primes all lie below 1009.  For a prime of five digits s is
+  one or two away, so the argument is about 2**-17.  ln 2, 3, 5 and 7 and
+  ln 10 come from four cached atanh sums, and the log of each other prime
+  q below 1009, cached on first use, is ln(q - 1) + 2 atanh(1 / (2q - 1)).
 - e**x reduces x by multiples of ln 10 and ln 2 and sums a series.  A
   cheaper reduction comes first: :func:`integer_logs` keeps an exchange's
   logs in fixed point, and a listener hands ``exp`` its product P with
@@ -53,8 +56,6 @@ exponent for exponent.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -66,12 +67,12 @@ from decimal import (
     Inexact,
     InvalidOperation,
 )
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import compress, starmap
 from operator import mul, not_
-from typing import NamedTuple
 
 from .errors import NonPositiveInput, Overflow
+from .integers import _GCD_PRIMES, _GCD_PRODUCT
 
 # Real-valued signals are plain Decimals; the alias marks intent in signatures.
 BigReal = Decimal
@@ -178,18 +179,24 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     return x.ln(_context(ctx.digits))
 
 
-class Near(NamedTuple):
+@dataclass(frozen=True)
+class Near:
     """A product of powers n**e and its log times 2**bits, within ``err`` units.
 
     :meth:`IntegerLogs.near` builds it; :func:`exp` reduces by it, and the
-    full-duplex factor step compares the received integer with ``product``.
+    full-duplex factor step compares the received integer with ``product``,
+    which is multiplied out on first read only: a listener whose value is
+    past what its context resolves never reads it.
     """
 
     powers: tuple[tuple[int, int], ...]
     log: int
     err: int
     bits: int
-    product: int
+
+    @cached_property
+    def product(self) -> int:
+        return math.prod(starmap(pow, self.powers))
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ class IntegerLogs:
     bits: int
 
     def near(self, column) -> Near:
-        """The powers ``integers[i] ** column[i]``, their product and its log.
+        """The powers ``integers[i] ** column[i]`` and the log of their product.
 
         The exponents are non-negative ints (or bools).  The log is the
         same sum of ``fixed`` logs, so it is within the summed errors of
@@ -218,20 +225,19 @@ class IntegerLogs:
         """
         powers = tuple(compress(zip(self.integers, column), column))
         if {0, 1}.issuperset(column):
-            log, err, product = self._totals
-            entries = zip(self.integers, self.fixed, self.errors)
-            for n, f, r in compress(entries, map(not_, column)):
-                log, err, product = log - f, err - r, product // n
+            log, err = self._totals
+            entries = zip(self.fixed, self.errors)
+            for f, r in compress(entries, map(not_, column)):
+                log, err = log - f, err - r
         else:
             log = sum(map(mul, column, self.fixed))
             err = sum(map(mul, column, self.errors))
-            product = math.prod(starmap(pow, powers))
-        return Near(powers, log, err, self.bits, product)
+        return Near(powers, log, err, self.bits)
 
     @cached_property
-    def _totals(self) -> tuple[int, int, int]:
-        """The sums of ``fixed`` and ``errors``, and the product of ``integers``."""
-        return sum(self.fixed), sum(self.errors), math.prod(self.integers)
+    def _totals(self) -> tuple[int, int]:
+        """The sums of ``fixed`` and ``errors``."""
+        return sum(self.fixed), sum(self.errors)
 
 
 def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
@@ -239,17 +245,15 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
 
     Each kernel runs once, at the first width of Ziv's loop; a log whose
     rounding that width leaves undecided runs the loop, as ``ln`` would.
-    Every integer, of any size, takes the integer kernel, and every first
-    try is rounded over one Decimal 2**bits.
+    Every integer, of any size, takes the integer kernel.
     """
     bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
-    den = Decimal(1 << bits)
     values, fixed, errors = [], [], []
     for n in integers:
         if n < 2:
             raise NonPositiveInput(f"integer_logs needs integers >= 2, got {n}")
         man, err, _, _ = _ln_smooth_kernel(n, bits)
-        value = _round_quotient(man, err, den, 0, ctx.digits)
+        value = _round_half_even(man, err, bits, 0, ctx.digits)
         if value is None:
             value = _correctly_rounded(partial(_ln_smooth_kernel, n), ctx.digits)
         values.append(value)
@@ -326,29 +330,45 @@ _MACHIN = {
 _MACHIN["ln10"] = tuple(a + b for a, b in zip(_MACHIN["ln2"], _MACHIN["ln5"]))
 # (bits, {name: constant * 2**bits}) at the widest precision computed so far
 _CONSTANTS: tuple[int, dict[str, int]] = (0, {})
-# 7-smooth integers up to 2**bits, sorted: (bits, table), extended on demand
-# up to 2**_SMOOTH_BITS, above the top bits m = n >> k the integer kernel keeps
-_SMOOTH_BITS = 40
-_SMOOTH: tuple[int, array] = (0, array("Q"))
+# The integer kernel keeps the top bits m = n >> k below 2**_TOP_BITS and
+# takes the log of m's nearest neighbour whose primes all lie below 1009.
+# Measured per log: 20 bits cost 7-12-digit primes 5-12 % at 245-460 bits,
+# where the neighbour search outweighs the series; 16 cost 6- and 7-digit
+# primes 6 % at 1 300 bits, where the longer series does.
+_TOP_BITS = 18
+_PRIME_SQUARES = [(p, p * p) for p in sorted(_GCD_PRIMES)]
+# (bits, {q: ln q * 2**v}), v = bits + bits.bit_length() + 4, for the primes
+# q below 1009 computed so far; bits is the widest precision asked for
+_PRIME_LOGS: tuple[int, dict[int, int]] = (0, {})
 
 
 def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
     """atanh(d / t) * 2**w for 0 <= d < t, and i, twice its terms less 1.
 
-    Each series term is the last times d**2 // t**2, a product and a
-    quotient of a w-bit int, so for short d and t a term costs linear time.
-    Where t**2 is wider than one 30-bit limb of a CPython int, the term is
-    divided by t twice instead, which gives the same int:
-    floor(floor(x / t) / t) = floor(x / t**2).  For d / t <= 1/21 a term is
-    within 1.01 units, since (d / t)**2 <= 1/441 damps earlier errors, and
-    dividing it by its odd index adds 1; the tail left when a term reaches
-    0 is below 1.  So the sum is low by less than i + 1 units.
+    Each series term is the last times d**2 / t**2, a product and a
+    quotient, so for short d and t it costs linear time: the quotient is
+    floor(x / t**2), taken in one division, or in two by t, floor(floor(x
+    / t) / t), where t fits one 30-bit limb of a CPython int and t**2 does
+    not, since a one-limb divisor takes CPython's short division.  Where t
+    is wider than an eighth of w, that division costs more than a product
+    of two w-bit ints, so z**2 = d**2 / t**2 is read once at w bits and each
+    term is one product and a shift.  For d / t <= 1/21 a term is within
+    2.01 units, since (d / t)**2 <= 1/441 damps earlier errors, and
+    dividing it by its odd index i >= 3 leaves it within 1.67; the first
+    term is within 1 and the tail left when a term reaches 0 is below 1.
+    So the sum is low by less than i + 1 units.
     """
     d2, t2 = d * d, t * t
     term = total = (d << w) // t
     i = 1
-    # a divisor below 2**30 takes CPython's one-limb division
-    twice = t2 >> 30
+    if 8 * t.bit_length() > w:
+        z2 = (d2 << w) // t2
+        while term:
+            term = (term * z2) >> w
+            i += 2
+            total += term // i
+        return total, i
+    twice = t2 >> 30 and not t >> 30
     while term:
         term = term * d2 // t // t if twice else term * d2 // t2
         i += 2
@@ -382,36 +402,96 @@ def _constant(name: str, w: int) -> int:
     return values[name] >> (bits - w)
 
 
-def _smooth_neighbour(n: int):
-    """The 7-smooth integer nearest ``n`` <= 2**40 and its exponents of 2, 3, 5, 7.
+def _smooth_log(k: int, factors, w: int) -> int:
+    """ln(2**k s) times 2**w, within 2 units, for s = prod q**e over ``factors``.
 
-    The table is built on first use up to the power of 256 above ``n`` and
-    extended in such steps, so it holds only the range the caller's
-    integers reach: 2 402 entries (19 KB) for primes of up to seven digits,
-    14 855 (116 KB) at its widest, 2**40.
+    Every q is a prime below 1009 and s is below 2**(_TOP_BITS + 1), so
+    s has fewer than _TOP_BITS + 1 prime factors.  The logs of those
+    primes are kept at v = bits + bits.bit_length() + 4 bits, where bits,
+    the widest precision asked for so far, is at least w + kb, 2**(kb - 2)
+    > k + _TOP_BITS + 1; a wider request starts them again at least twice
+    as wide.  ln 2, 3, 5 and 7 are the constants at v bits, and any other q
+    is computed on first use as ln(q - 1) + 2 atanh(1 / (2q - 1)): the logs
+    of the primes of q - 1, each below q, and one series of short ints.
+    Unrolled, each log is off by less than 2v units of 2**-v (the worst, q
+    = 599, by 1.8v at v = 103), below one unit of 2**-bits, so the sum is
+    off by less than a quarter unit of 2**-w before the shift down to w
+    bits.
     """
-    global _SMOOTH
-    bits = -(-(n - 1).bit_length() // 8) * 8  # 2**bits >= n
-    if _SMOOTH[0] < bits:
-        table = [1]
-        for q in (2, 3, 5, 7):
-            grown = []
-            for v in table:
-                while v <= 1 << bits:
-                    grown.append(v)
-                    v *= q
-            table = grown
-        _SMOOTH = bits, array("Q", sorted(table))
-    table = _SMOOTH[1]
-    i = bisect_left(table, n)  # table[i] >= n, since 2**bits >= n is smooth
-    s = table[i] if i == 0 or table[i] - n < n - table[i - 1] else table[i - 1]
-    exps, rest = [], s
-    for q in (2, 3, 5, 7):
-        exps.append(0)
-        while rest % q == 0:
-            rest //= q
-            exps[-1] += 1
-    return s, exps
+    global _PRIME_LOGS
+    wide = w + (k + _TOP_BITS + 1).bit_length() + 2
+    bits, logs = _PRIME_LOGS
+    if bits < wide:
+        bits = max(wide, 2 * bits)
+        v = bits + bits.bit_length() + 4
+        logs = {p: _constant(f"ln{p}", v) for p in (2, 3, 5, 7)}
+        _PRIME_LOGS = bits, logs
+    v = bits + bits.bit_length() + 4
+    total = k * logs[2]
+    for q, e in factors:
+        total += e * (logs[q] if q in logs else _wide_prime_log(q, v, logs))
+    return total >> (v - w)
+
+
+def _wide_prime_log(q: int, v: int, logs: dict[int, int]) -> int:
+    """ln q times 2**v from ``logs``, computing it and those below on first use."""
+    log = logs.get(q)
+    if log is None:
+        factors = _factors(q - 1, math.gcd(q - 1, _GCD_PRODUCT))
+        below = sum(e * _wide_prime_log(p, v, logs) for p, e in factors)
+        log = logs[q] = below + 2 * _atanh(1, 2 * q - 1, v)[0]
+    return log
+
+
+def _smooth_neighbour(m: int) -> tuple[int, list[tuple[int, int]]]:
+    """The integer s nearest ``m`` >= 1 whose primes all lie below 1009.
+
+    Returns s and its prime powers; the lower one wins a tie.  A candidate
+    is tested by gcds with the product of those primes: the first is the
+    product g of the ones that divide it, and each next one divides out
+    the primes it still shares with the candidate, which qualifies when
+    nothing is left.  Only the chosen s is factored, by :func:`_factors`
+    on its g.
+    """
+    s, d = m, 0
+    while True:
+        rest, radical = s, math.gcd(s, _GCD_PRODUCT)
+        g = radical
+        while g > 1:
+            rest //= g
+            g = math.gcd(rest, g)
+        if rest == 1:
+            return s, _factors(s, radical)
+        d = -d if d < 0 else -d - 1
+        s = m + d
+
+
+def _factors(s: int, radical: int) -> list[tuple[int, int]]:
+    """(q, e) for each prime power q**e of ``s``, given the product of its primes.
+
+    The walk over the primes below 1009 divides them out of the radical and
+    stops once p**2 exceeds what is left, which is then 1 or a prime.
+    """
+    out = []
+    for p, square in _PRIME_SQUARES:
+        if square > radical:
+            break
+        if not radical % p:
+            radical //= p
+            out.append((p, _multiplicity(s, p)))
+    if radical > 1:
+        out.append((radical, _multiplicity(s, radical)))
+    return out
+
+
+def _multiplicity(s: int, p: int) -> int:
+    """How often the prime p divides ``s``, which it divides."""
+    e = 1
+    s //= p
+    while not s % p:
+        s //= p
+        e += 1
+    return e
 
 
 def _exp_fixed(t: int, w: int) -> tuple[int, int]:
@@ -466,26 +546,19 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
 def _ln_smooth_kernel(n: int, w: int):
     """ln n as (man, err, w, 0) for an integer n >= 1.
 
-    n = m 2**k + r with m = n >> k below 2**40, and s is the 7-smooth
-    integer nearest m, so ln n = ln(s 2**k) + 2 atanh((m - s) / (m + s)) +
-    2 atanh(r / (n + m 2**k)).  The first argument is at most 1/21 (m =
-    11) and has short ints; the second is below 2**-40, as m >= 2**39
-    when k > 0, and is 0 when k = 0.  Twice a sum of i terms is off by less
-    than 2i + 2 units, and the logs of 2, 3, 5 and 7, summed at kb more
-    bits, by less than 2 after the shift.
+    The top bits m = n >> k lie below 2**_TOP_BITS, and s is the integer
+    nearest m whose primes all lie below 1009, so that
+    ln n = ln(2**k s) + 2 atanh((n - 2**k s) / (n + 2**k s)).  Every m below
+    1009 is its own s, and the argument is below (|m - s| + 1) / (m + s),
+    at most 1/21.  Twice its series of i terms is off by less than 2i + 2
+    units, and ln(2**k s) by less than 2.
     """
-    k = max(n.bit_length() - _SMOOTH_BITS, 0)
-    m = n >> k
-    s, exps = _smooth_neighbour(m)
-    exps[0] += k
-    near, i = _atanh(abs(m - s), m + s, w)
-    far, j = _atanh(n - (m << k), n + (m << k), w)
-    kb = sum(exps).bit_length() + 2
-    wide = w + kb
-    names = ("ln2", "ln3", "ln5", "ln7")
-    logs = sum(e * _constant(name, wide) for e, name in zip(exps, names))
-    man = (logs >> kb) + 2 * (near if m >= s else -near) + 2 * far
-    return man, 2 * (i + j) + 6, w, 0
+    k = max(n.bit_length() - _TOP_BITS, 0)
+    s, factors = _smooth_neighbour(n >> k)
+    d = n - (s << k)
+    series, i = _atanh(abs(d), n + (s << k), w)
+    man = _smooth_log(k, factors, w) + 2 * (series if d >= 0 else -series)
+    return man, 2 * i + 4, w, 0
 
 
 def _exp_near(x: Decimal, near: Near):
@@ -498,11 +571,12 @@ def _exp_near(x: Decimal, near: Near):
     P E is then scaled to about w bits.  None when d is not that small or
     P is wider than w bits.
     """
-    _, log, err, w, product = near
-    D = _to_fixed(x, w) - log
-    e = err + 2
+    w = near.bits
+    D = _to_fixed(x, w) - near.log
+    e = near.err + 2
     if (abs(D) + e) >> (2 * w // 3):
         return None
+    product = near.product
     s = product.bit_length() - 1
     if s > w:
         return None
@@ -531,25 +605,52 @@ def _correctly_rounded(kernel, digits: int) -> Decimal:
 def _round_half_even(man: int, err: int, shift: int, dexp: int, digits: int):
     """man * 2**-shift * 10**dexp rounded half-even to ``digits`` digits.
 
-    The value is known to within ``err`` units of 2**-shift.  libmpdec
-    rounds both ends of that bracket; half-even rounding is monotone, so
-    when the ends round alike every value between them does too, and
-    powers of ten and halves need no case of their own.  Otherwise the
-    result is None and Ziv's loop retries.  A quotient exact in fewer than
-    ``digits`` digits would keep its short form, but that needs ``man ± err``
-    to end in more than 2.3 * digits + 32 zero bits.
+    The value is known to within ``err`` units of 2**-shift; half-even
+    rounding is monotone, so when both ends of that bracket round alike
+    every value between them does too, and otherwise the result is None
+    and Ziv's loop retries.  A float estimate of the decimal exponent E of
+    |man| 2**-shift gives K = digits - 1 - E; each end times 10**K is one
+    product, and a shift splits it into an integer part c and a remainder.
+    When both c have ``digits`` digits and neither remainder is 0 or a
+    half, each end rounds to c or c + 1 by its remainder alone, and only
+    the decided integer becomes a Decimal.  Any other bracket, whose
+    exponent the estimate missed, which crosses a power of ten, or whose
+    end is exact or a tie, is rounded by libmpdec: both ends divided by
+    2**shift.  An exact quotient keeps the short form libmpdec gives it.
     """
-    return _round_quotient(man, err, Decimal(1 << shift), dexp, digits)
-
-
-def _round_quotient(man: int, err: int, den: Decimal, dexp: int, digits: int):
-    """:func:`_round_half_even` with its divisor 2**shift given as ``den``."""
+    lo, hi = man - err, man + err
+    if lo <= 0 <= hi:
+        return None
+    mag = abs(man)
+    K = digits - 1 - math.floor(math.log10(mag) - shift * _LOG10_2)
+    if K >= 0 and shift > 0:
+        scale = _pow10(K)
+        x, e = mag * scale, err * scale
+        c_lo, c_hi = (x - e) >> shift, (x + e) >> shift
+        r_lo, r_hi = x - e - (c_lo << shift), x + e - (c_hi << shift)
+        half = 1 << (shift - 1)
+        if (
+            _pow10(digits - 1) <= c_lo <= c_hi < _pow10(digits)
+            and r_lo and r_hi and r_lo != half and r_hi != half
+        ):
+            c_lo += r_lo > half
+            c_hi += r_hi > half
+            if c_lo != c_hi:
+                return None
+            c = c_lo if man > 0 else -c_lo
+            return Decimal(c).scaleb(dexp - K, _context(digits))
     context = _context(digits)
-    lo = context.divide(Decimal(man - err), den)
-    hi = context.divide(Decimal(man + err), den)
-    if lo != hi or lo.is_zero():
+    den = Decimal(1 << shift)
+    lo, hi = context.divide(Decimal(lo), den), context.divide(Decimal(hi), den)
+    if lo != hi:
         return None
     return lo.scaleb(dexp, context)
+
+
+@lru_cache(maxsize=64)
+def _pow10(k: int) -> int:
+    """10**k, kept for the 64 most recently used k."""
+    return 10**k
 
 
 def nearest_integer(x: BigReal):

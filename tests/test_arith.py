@@ -15,7 +15,7 @@ from airkey import (
     to_bigreal,
 )
 from airkey.arith import nearest_integer
-from airkey.integers import sample_prime
+from airkey.integers import _GCD_PRIMES, sample_prime, sieve
 
 CTX = PrecisionContext(50)
 
@@ -300,6 +300,57 @@ class TestRoundHalfEven:
                     assert got.as_tuple() == exactly_rounded(point, shift, 0, digits).as_tuple()
         assert 0 < decided < 500
 
+    def test_exponent_estimate_one_low_still_rounds_up_to_the_power_of_ten(
+        self, monkeypatch
+    ):
+        # a float estimate of the decimal exponent one too low leaves
+        # digits + 1 digits after rounding up; the result must still be the
+        # power of ten at ``digits`` digits, as libmpdec rounds it
+        monkeypatch.setattr(arith, "_LOG10_2", math.log10(2) + 1e-12)
+        rng = random.Random(25)
+        for digits in (16, 40):
+            shift = int(digits * math.log2(10)) + 20
+            for _ in range(200):
+                man = (10 ** rng.randrange(0, 4) << shift) - rng.randrange(1, 2**10)
+                got = self.decide(man, 1, shift, 3, digits)
+                want = exactly_rounded(man - 1, shift, 3, digits)
+                assert got.as_tuple() == want.as_tuple()
+                assert got.as_tuple().digits == (1,) + (0,) * (digits - 1)
+
+    @pytest.mark.parametrize("digits", [16, 17, 64, 300, 1700])
+    def test_random_brackets_at_any_width(self, digits):
+        # values of every kind, scaled by 10**dexp, dexp != 0: any value,
+        # one just below or above a power of ten, and an exact quotient of
+        # a few digits, whose short form an exact bracket keeps
+        rng = random.Random(digits + 24)
+        bits = int(digits * math.log2(10)) + 1
+        decided = 0
+        for case in range(60 if digits < 1000 else 20):
+            shift = bits + rng.randrange(-8, 64)
+            kind = case % 4
+            if kind == 0:
+                man = rng.randrange(2**shift, 2 ** (shift + rng.randrange(1, 40)))
+            elif kind in (1, 2):
+                near = 10 ** rng.randrange(0, 8) << shift
+                off = rng.randrange(1, 2 ** rng.randrange(1, shift))
+                man = near - off if kind == 1 else near + off
+            else:
+                few = rng.randrange(1, 10 ** rng.randrange(1, 6))
+                man = few << (shift - rng.randrange(0, 12))
+            man *= rng.choice((1, -1))
+            err = rng.choice((0, 0, 1, rng.randrange(2, 2**16)))
+            dexp = rng.choice((1, -1)) * rng.randrange(1, 400)
+            got = self.decide(man, err, shift, dexp, digits)
+            if err == 0:
+                assert got is not None
+            if got is not None:
+                decided += 1
+                want = exactly_rounded(man - err, shift, dexp, digits)
+                assert got.as_tuple() == want.as_tuple(), (man, err, shift, dexp)
+                for point in (man, man + err):
+                    assert got == exactly_rounded(point, shift, dexp, digits)
+        assert decided > 0
+
 
 class TestRoundToInteger:
     def test_close_value_rounds(self):
@@ -441,7 +492,10 @@ def kernel_inputs(x) -> set[int]:
 
 
 class TestSmoothNeighbourLn:
-    """ln of an integer from its nearest 7-smooth neighbour, against libmpdec."""
+    """ln of an integer from a neighbour of its top bits, against libmpdec.
+
+    The neighbour is the nearest integer whose primes all lie below 1009.
+    """
 
     @pytest.mark.parametrize("digits", [16, 64, 384, 1700])
     def test_primes_of_one_to_twelve_digits(self, digits):
@@ -454,12 +508,18 @@ class TestSmoothNeighbourLn:
                 got = ln(p, ctx)
                 assert got.as_tuple() == Decimal(p).ln(libmpdec(digits)).as_tuple(), p
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 2**40, 2**11 * 3**5 * 5**3 * 7**2])
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 5, 7, 10, 997, 251 * 997, 2**40, 3**5 * 7**2 * 2**100],
+        ids=lambda n: str(n) if n < 2**64 else "s*2**100",
+    )
     @pytest.mark.parametrize("digits", [16, 64, 384])
     def test_smooth_integers_take_no_series(self, n, digits):
-        # z = 0: the result is the sum of the cached logs of 2, 3, 5 and 7
-        s, exps = arith._smooth_neighbour(n)
-        assert s == n and n == 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * 7 ** exps[3]
+        # n = 2**k s with s's primes below 1009: the series argument is 0 and
+        # the result is the sum of the cached logs of those primes
+        k = max(n.bit_length() - arith._TOP_BITS, 0)
+        s, factors = arith._smooth_neighbour(n >> k)
+        assert s << k == n and math.prod(q**e for q, e in factors) == s
         got = ln(n, PrecisionContext(digits))
         assert got.as_tuple() == Decimal(n).ln(libmpdec(digits)).as_tuple()
 
@@ -477,8 +537,8 @@ class TestSmoothNeighbourLn:
         ids=["10**12+39", "2**89-1", "12.5", "0.5", "10**40-1", "10**40"],
     )
     def test_big_integers_take_the_kernel_others_libmpdec(self, x, integral):
-        # every integral x below 10**40 takes the integer kernel, past the
-        # smooth table's 2**40 too; any other x, 10**40 included, libmpdec's
+        # every integral x below 10**40 takes the integer kernel, far past
+        # its top bits too; any other x, 10**40 included, libmpdec's
         assert kernel_inputs(x) == ({int(x)} if integral else set())
         for digits in (16, 384):
             got = ln(Decimal(x), PrecisionContext(digits))
@@ -486,8 +546,8 @@ class TestSmoothNeighbourLn:
 
     @pytest.mark.parametrize("digits", [16, 64, 384, 1700])
     def test_integers_of_thirteen_to_forty_digits(self, digits):
-        # past 2**40 the kernel adds 2 atanh(r / (n + m 2**k)) to the log of
-        # the top bits m = n >> k
+        # past 2**_TOP_BITS the series argument (n - 2**k s) / (n + 2**k s)
+        # takes the low bits r of n = 2**k m + r
         rng = random.Random(digits + 3)
         step = 4 if digits == 1700 else 1
         ints = [rng.randrange(10 ** (d - 1), 10**d) for d in range(13, 41, step)]
@@ -500,13 +560,16 @@ class TestSmoothNeighbourLn:
             assert ln(n, ctx).as_tuple() == want, n
 
     @pytest.mark.parametrize(
-        "n", [2**40 - 1, 2**40, 2**40 + 1, 3**5 * 7**2 * 2**100],
-        ids=["2**40-1", "2**40", "2**40+1", "s*2**100"],
+        "n",
+        [2**40 - 1, 2**40, 2**40 + 1, 3**5 * 7**2 * 2**100]
+        + [2**18 - 1, 2**18, 2**18 + 1],
+        ids=["2**40-1", "2**40", "2**40+1", "s*2**100", "2**18-1", "2**18", "2**18+1"],
     )
     @pytest.mark.parametrize("digits", [16, 64, 384])
     def test_edges_of_the_top_bits(self, n, digits):
-        # 2**40 - 1 keeps all its bits; 2**40 and s * 2**100 split off
-        # r = 0, where the second series is 0; 2**40 + 1 leaves r = 1
+        # 2**18 - 1 keeps all its bits; 2**18, 2**40 and s * 2**100 split
+        # off r = 0, where the argument is 0; 2**18 + 1 and 2**40 + 1 leave
+        # r = 1, 2**40 - 1 the largest r
         ctx = PrecisionContext(digits)
         want = Decimal(n).ln(libmpdec(digits)).as_tuple()
         assert ln(n, ctx).as_tuple() == want
@@ -535,20 +598,38 @@ class TestSmoothNeighbourLn:
             got = arith.integer_logs([n], ctx).values[0]
             assert got.as_tuple() == ln(n, ctx).as_tuple()
 
-    def test_table_bounds_the_series_argument_and_its_size(self):
-        # the kernel's error bound assumes |z| <= 1/21 for every integer the
-        # table reaches; the worst integer between two neighbours is the
-        # one nearest their midpoint
-        arith._smooth_neighbour(2**40)
-        bits, table = arith._SMOOTH
-        assert bits == arith._SMOOTH_BITS and table[-1] == 2**40
-        assert len(table) * table.itemsize < 200_000
+    def test_every_top_bits_value_has_its_nearest_neighbour_within_one_in_21(self):
+        # exhaustive: for every m below 2**_TOP_BITS the kernel's neighbour
+        # is the nearest integer whose primes all lie below 1009 (the lower
+        # on a tie), found here by a sieve that strikes every multiple of a
+        # prime from 1009 on, and its series argument is at most 1/21, also
+        # with the 1 a nonzero k adds once m >= 2**(_TOP_BITS - 1)
+        top = 2**arith._TOP_BITS
+        bound = top + 64
+        flags = bytearray([1]) * bound
+        for p in sieve(bound):
+            if p >= 1009:
+                flags[p::p] = bytes(len(range(p, bound, p)))
+        smooth = [i for i in range(1, bound) if flags[i]]
+        assert smooth[-1] > top
         worst = 0
-        for a, b in zip(table, table[1:]):
-            n = (a + b) // 2
-            s = a if n - a <= b - n else b
-            worst = max(worst, abs(n - s) / (n + s))
-        assert worst == 1 / 21
+        for a, b in zip(smooth, smooth[1:]):
+            for m in range(a, min(b, top)):
+                s = a if m - a <= b - m else b
+                assert arith._smooth_neighbour(m)[0] == s, m
+                z = (abs(m - s) + (m >= top // 2)) / (m + s)
+                worst = max(worst, z)
+        assert worst <= 1 / 21
+
+    def test_smooth_neighbours_factor_into_primes_below_1009(self):
+        rng = random.Random(12)
+        for m in [1, 2, 1008, 1009, 1010, 2**arith._TOP_BITS - 1] + [
+            rng.randrange(1, 2**arith._TOP_BITS) for _ in range(500)
+        ]:
+            s, factors = arith._smooth_neighbour(m)
+            assert math.prod(q**e for q, e in factors) == s
+            assert all(q in _GCD_PRIMES and e >= 1 for q, e in factors)
+            assert [q for q, _ in factors] == sorted({q for q, _ in factors})
 
     def test_undecided_roundings_are_retried(self, monkeypatch):
         monkeypatch.setattr(arith, "_ZIV_GUARD", 6)
@@ -573,12 +654,14 @@ class TestSmoothNeighbourLn:
 
     @pytest.mark.parametrize("digits", [64, 256, 1024])
     def test_series_terms_match_one_division_by_t_squared(self, digits):
-        # the kernel divides each term by t twice; floor(floor(x/t)/t) =
-        # floor(x/t**2), so its fixed-point logs and errors are those of
-        # the series that divides by t * t once
+        # the kernel divides a term by t twice where t is one limb and t**2
+        # is not; floor(floor(x/t)/t) = floor(x/t**2), so its fixed-point
+        # logs and errors are those of the series that divides by t * t once
+        # (or, for a t wider than an eighth of the width, reads z**2 once)
         rng = random.Random(digits + 2)
         ints = [rng.randrange(max(2, 10 ** (d - 1)), 10**d) for d in range(1, 13)]
         ints += [sample_prime(d, rng).value for d in range(1, 13)]
+        ints += [2**29 - 3, 2**29 + 11]  # t just below and above one limb
         logs = arith.integer_logs(ints, PrecisionContext(digits))
         want = [one_division_series(n, logs.bits) for n in ints]
         assert list(zip(logs.fixed, logs.errors)) == want
@@ -586,19 +669,19 @@ class TestSmoothNeighbourLn:
 
 def one_division_series(n: int, w: int) -> tuple[int, int]:
     """ln n * 2**w and its error bound, each series term divided by t * t once."""
-    s, exps = arith._smooth_neighbour(n)
-    d, t = abs(n - s), n + s
+    k = max(n.bit_length() - arith._TOP_BITS, 0)
+    s, factors = arith._smooth_neighbour(n >> k)
+    d, t = n - (s << k), n + (s << k)
     d2, t2 = d * d, t * t
-    term = series = (d << w) // t
+    term = series = (abs(d) << w) // t
+    z2 = (d2 << w) // t2
     i = 1
     while term:
-        term = term * d2 // t2
+        term = (term * z2) >> w if 8 * t.bit_length() > w else term * d2 // t2
         i += 2
         series += term // i
-    kb = sum(exps).bit_length() + 2
-    names = ("ln2", "ln3", "ln5", "ln7")
-    logs = sum(e * arith._constant(name, w + kb) for e, name in zip(exps, names))
-    return (logs >> kb) + 2 * (series if n >= s else -series), 2 * i + 8
+    log = arith._smooth_log(k, factors, w)
+    return log + 2 * (series if d >= 0 else -series), 2 * i + 4
 
 
 class TestMachinBasis:
@@ -621,3 +704,28 @@ class TestMachinBasis:
         for name, q in (("ln2", 2), ("ln3", 3), ("ln5", 5), ("ln7", 7), ("ln10", 10)):
             exact = oracle.multiply(Decimal(q).ln(oracle), 2**w)
             assert abs(arith._constant(name, w) - exact) < 3, (name, w)
+
+    def test_cached_prime_logs_within_three_units(self, monkeypatch):
+        # every ln q, q < 1009, from the cache as it is built at 86 bits and
+        # widened to 1 333, then from the cache widened to 5 700 at that
+        # width (599 has the longest chain of logs below it) and again at
+        # the narrower ones
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, {}))
+
+        def exact_logs(primes, w):
+            oracle = libmpdec(int(w * math.log10(2)) + 30)
+            return oracle, {q: Decimal(q).ln(oracle) for q in primes}
+
+        def check(oracle, logs, w):
+            for q, log in logs.items():
+                got = arith._smooth_log(0, [(q, 1)], w)
+                assert abs(oracle.subtract(got, oracle.multiply(log, 2**w))) < 3, (q, w)
+
+        narrow = exact_logs(sorted(_GCD_PRIMES), 1333)
+        for w in (86, 300, 1333):
+            check(*narrow, w)
+        check(*exact_logs([2, 11, 599, 997], 5700), 5700)
+        for w in (86, 300, 1333):
+            check(*narrow, w)
+        bits, logs = arith._PRIME_LOGS
+        assert bits >= 5700 and len(logs) == 168

@@ -159,6 +159,7 @@ def test_near_equals_the_direct_sums(c_max):
         columns += [[i != j for i in range(n)] for j in range(n)] + [[0] * n]
         for column in columns:
             near = logs.near(column)
+            assert "product" not in vars(near)  # multiplied out when read
             entries = [(p, c, f, r) for p, c, f, r in
                        zip(primes, column, logs.fixed, logs.errors) if c]
             assert near.powers == tuple((p, c) for p, c, _, _ in entries)
