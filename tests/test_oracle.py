@@ -51,7 +51,26 @@ POINTS = {
     "fmac-eve-matched-wide": dict(
         FMAC, n_users=4, c_max=8, eve=True, trials=6, seed=21
     ),
+    # trial 34 rounds a noisy value to a wrong integer within the tolerance
+    # and returns a wrong secret without a reason code
+    "hmac-noise-silent-wrong": dict(
+        HMAC, precision_digits=16, noise_variance="1e-20", trials=35, seed=5
+    ),
+    # strong noise sends some values below the tolerance: they round to 0
+    # and are rejected as not-a-prime-product
+    "hmac-noise-below-two": dict(HMAC, noise_variance="1e4", trials=3, seed=1),
+    # primes above SMOOTH_BOUND: every legitimate product goes through the
+    # small-prime gcd, rho and the Miller-Rabin test of its factors
+    "fmac-digits6": dict(FMAC, n_users=3, c_max=2, prime_digits=6, trials=4, seed=3),
+    "fmac-digits8": dict(FMAC, n_users=3, c_max=2, prime_digits=8, trials=4, seed=3),
+    # noise that fails 4 of the 16 receivers with not-near-integer
+    "fmac-noisy": dict(
+        FMAC, n_users=4, precision_digits=64, noise_variance="1e-120", trials=4, seed=3
+    ),
 }
+# factor-bound-exceeded costs tens of seconds per trial through a config; it
+# is pinned by test_fullduplex.py::TestFactorConfirmation::
+# test_wrong_integers_are_factorized[*-tiny-budget] instead.
 
 
 def _observe(fields: dict) -> dict:
