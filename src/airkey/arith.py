@@ -36,21 +36,27 @@ when they disagree the result is computed again with twice the guard bits
 inside the 2-ulp contract, and equal libmpdec's ``Decimal.ln``/``Decimal.exp``
 digit for digit and exponent for exponent.
 
+One cache holds every constant the kernels read: ln q for the primes q
+below 1009, at the widest precision asked for so far.  ln 2, 3, 5 and 7
+come from four atanh sums, and each other q's, on first use, from ln(q -
+1) + 2 atanh(1 / (2q - 1)).
+
 - The log of an integer n is that of 2**k s plus 2 atanh((n - 2**k s) /
   (n + 2**k s)), where s is the integer nearest the top bits n >> k, below
-  2**18, whose primes all lie below 1009.  For a prime of five digits s is
-  one or two away, so the argument is about 2**-17.  ln 2, 3, 5 and 7 and
-  ln 10 come from four cached atanh sums, and the log of each other prime
-  q below 1009, cached on first use, is ln(q - 1) + 2 atanh(1 / (2q - 1)).
-- e**x reduces x by multiples of ln 10 and ln 2 and sums a series.  A
-  cheaper reduction comes first: :func:`integer_logs` keeps an exchange's
-  logs in fixed point, and a listener hands ``exp`` its product P with
-  ln P from them (:meth:`IntegerLogs.near`).  When x - ln P is tiny,
-  e**x = P e**(x - ln P) takes two terms of a series; otherwise, or when
-  that bracket does not decide, the full kernel runs.  The identity holds
-  for every P, so the hint is an argument reduction whose result the
-  bracket decides: the product, which a simulator takes from its own
-  exponents, can change how fast a result comes, never a digit of it.
+  2**18, whose primes all lie below 1009, so ln(2**k s) is a sum of
+  cached logs.  For a prime of five digits s is one or two away, so the
+  argument is about 2**-17.  :func:`airkey.integers.smooth_neighbour`
+  finds s and factors it by the small-prime walk ``factorize`` runs.
+- e**x reduces x by multiples of ln 10 = ln 2 + ln 5 and ln 2 and sums a
+  series.  A cheaper reduction comes first: :func:`integer_logs` keeps
+  an exchange's logs in fixed point, and a listener hands ``exp`` its
+  product P with ln P from them (:meth:`IntegerLogs.near`).  When x - ln
+  P is tiny, e**x = P e**(x - ln P) takes two terms of a series;
+  otherwise, or when that bracket does not decide, the full kernel runs.
+  The identity holds for every P, so the hint is an argument reduction
+  whose result the bracket decides: the product, which a simulator takes
+  from its own exponents, can change how fast a result comes, never a
+  digit of it.
 """
 
 from __future__ import annotations
@@ -69,10 +75,10 @@ from decimal import (
 )
 from functools import cache, cached_property, lru_cache, partial
 from itertools import compress, starmap
-from operator import mul, not_
+from operator import mul
 
 from .errors import NonPositiveInput, Overflow
-from .integers import _GCD_PRIMES, _GCD_PRODUCT
+from .integers import smooth_neighbour
 
 # Real-valued signals are plain Decimals; the alias marks intent in signatures.
 BigReal = Decimal
@@ -165,8 +171,8 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     """Natural logarithm of ``x`` (> 0), correctly rounded to ctx.digits.
 
     An integral ``x`` below 10**40, which covers every prime a config
-    accepts, takes the fixed-point integer kernel; any other ``x`` takes
-    libmpdec's ``Decimal.ln``.  Both round half-even, within 0.5 ulp, so
+    accepts, takes :func:`integer_logs`; any other ``x`` takes libmpdec's
+    ``Decimal.ln``.  Both round half-even, within 0.5 ulp, so
     the result is inside the 2-ulp contract; ``ln(1)`` is exactly ``0``.
     """
     x = to_bigreal(x)
@@ -175,7 +181,7 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     if x == 1:
         return Decimal(0)
     if x.adjusted() < 40 and x == x.to_integral_value():
-        return _correctly_rounded(partial(_ln_smooth_kernel, int(x)), ctx.digits)
+        return integer_logs([int(x)], ctx).values[0]
     return x.ln(_context(ctx.digits))
 
 
@@ -219,25 +225,12 @@ class IntegerLogs:
 
         The exponents are non-negative ints (or bools).  The log is the
         same sum of ``fixed`` logs, so it is within the summed errors of
-        ln of that product, whatever the exponents.  A column of zeros and
-        ones, as an hmac listener's, takes the exchange's totals less its
-        zero entries: the same ints, for the cost of its zeros.
+        ln of that product, whatever the exponents.
         """
         powers = tuple(compress(zip(self.integers, column), column))
-        if {0, 1}.issuperset(column):
-            log, err = self._totals
-            entries = zip(self.fixed, self.errors)
-            for f, r in compress(entries, map(not_, column)):
-                log, err = log - f, err - r
-        else:
-            log = sum(map(mul, column, self.fixed))
-            err = sum(map(mul, column, self.errors))
+        log = sum(map(mul, column, self.fixed))
+        err = sum(map(mul, column, self.errors))
         return Near(powers, log, err, self.bits)
-
-    @cached_property
-    def _totals(self) -> tuple[int, int]:
-        """The sums of ``fixed`` and ``errors``."""
-        return sum(self.fixed), sum(self.errors)
 
 
 def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
@@ -319,27 +312,23 @@ _ZIV_GUARD = 32  # guard bits of the first try
 # q = 251, 449, 4801 and 8749, that is ln(126/125), ln(225/224),
 # ln(2401/2400) and ln(4375/4374) (Brent and Zimmermann ch. 4).  Their
 # exponent matrix over 2, 3, 5 and 7 has determinant -1, so it has an
-# integral inverse, whose rows these are; ln 10 = ln 2 + ln 5.
+# integral inverse, whose rows these are.
 _ACOTH_Q = (251, 449, 4801, 8749)
 _MACHIN = {
-    "ln2": (72, 27, -19, 31),
-    "ln3": (114, 43, -30, 49),
-    "ln5": (167, 63, -44, 72),
-    "ln7": (202, 76, -53, 87),
+    2: (72, 27, -19, 31),
+    3: (114, 43, -30, 49),
+    5: (167, 63, -44, 72),
+    7: (202, 76, -53, 87),
 }
-_MACHIN["ln10"] = tuple(a + b for a, b in zip(_MACHIN["ln2"], _MACHIN["ln5"]))
-# (bits, {name: constant * 2**bits}) at the widest precision computed so far
-_CONSTANTS: tuple[int, dict[str, int]] = (0, {})
 # The integer kernel keeps the top bits m = n >> k below 2**_TOP_BITS and
 # takes the log of m's nearest neighbour whose primes all lie below 1009.
 # Measured per log: 20 bits cost 7-12-digit primes 5-12 % at 245-460 bits,
 # where the neighbour search outweighs the series; 16 cost 6- and 7-digit
 # primes 6 % at 1 300 bits, where the longer series does.
 _TOP_BITS = 18
-_PRIME_SQUARES = [(p, p * p) for p in sorted(_GCD_PRIMES)]
-# (bits, {q: ln q * 2**v}), v = bits + bits.bit_length() + 4, for the primes
-# q below 1009 computed so far; bits is the widest precision asked for
-_PRIME_LOGS: tuple[int, dict[int, int]] = (0, {})
+# (bits, v, {q: ln q * 2**v}), v = bits + bits.bit_length() + 4, for the
+# primes q below 1009 computed so far; bits is the widest precision asked for
+_PRIME_LOGS: tuple[int, int, dict[int, int]] = (0, 0, {})
 
 
 def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
@@ -376,57 +365,45 @@ def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
     return total, i
 
 
-def _constant(name: str, w: int) -> int:
-    """ln 2, 3, 5, 7 or 10 times 2**w, within 3 units.
+def _prime_logs(w: int) -> tuple[int, int, dict[int, int]]:
+    """The cache (bits, v, logs) of ln q * 2**v, widened to bits >= ``w``.
 
-    All five come from the same four sums 2 atanh(1/q), computed on first use
-    and kept at the widest precision asked for so far; narrower requests
-    shift them down.  At v = bits + extra bits a sum of n terms is low by
-    less than 2 (n + 2) units, n <= v / 15 + 1 for q >= 251, and the
-    coefficients of a row add up to at most 495 in absolute value, so a
-    row is off by less than 66 v + 3000 units of 2**-v.  With 2**extra >
-    1024 bits and bits >= 86 that is below 0.2 units of 2**-bits, and each
-    shift down adds less than 1.
+    A request wider than bits, the widest so far, starts the cache again at
+    least twice as wide, with ln 2, 3, 5 and 7 from the same four sums 2
+    atanh(1/q) at V = v + extra bits.  A sum of n terms is low by less than
+    2 (n + 2) units, n <= V / 15 + 1 for q >= 251, and the coefficients of
+    a row add up to at most 495 in absolute value, so a row is off by less
+    than 66 V + 3000 units of 2**-V.  With 2**extra > 1024 v and v >= 86
+    that is below 0.2 units of 2**-v, and the shift down adds less than 1.
     """
-    global _CONSTANTS
-    bits, values = _CONSTANTS
-    if bits < w:
-        bits = max(w, 2 * bits)
-        extra = bits.bit_length() + 10
-        sums = [2 * _atanh(1, q, bits + extra)[0] for q in _ACOTH_Q]
-        values = {
-            key: sum(c * a for c, a in zip(row, sums)) >> extra
-            for key, row in _MACHIN.items()
-        }
-        _CONSTANTS = bits, values
-    return values[name] >> (bits - w)
+    global _PRIME_LOGS
+    if _PRIME_LOGS[0] < w:
+        bits = max(w, 2 * _PRIME_LOGS[0])
+        v = bits + bits.bit_length() + 4
+        extra = v.bit_length() + 10
+        sums = [2 * _atanh(1, q, v + extra)[0] for q in _ACOTH_Q]
+        logs = {q: sum(map(mul, row, sums)) >> extra for q, row in _MACHIN.items()}
+        _PRIME_LOGS = bits, v, logs
+    return _PRIME_LOGS
 
 
 def _smooth_log(k: int, factors, w: int) -> int:
     """ln(2**k s) times 2**w, within 2 units, for s = prod q**e over ``factors``.
 
     Every q is a prime below 1009 and s is below 2**(_TOP_BITS + 1), so
-    s has fewer than _TOP_BITS + 1 prime factors.  The logs of those
-    primes are kept at v = bits + bits.bit_length() + 4 bits, where bits,
-    the widest precision asked for so far, is at least w + kb, 2**(kb - 2)
-    > k + _TOP_BITS + 1; a wider request starts them again at least twice
-    as wide.  ln 2, 3, 5 and 7 are the constants at v bits, and any other q
-    is computed on first use as ln(q - 1) + 2 atanh(1 / (2q - 1)): the logs
-    of the primes of q - 1, each below q, and one series of short ints.
-    Unrolled, each log is off by less than 2v units of 2**-v (the worst, q
-    = 599, by 1.8v at v = 103), below one unit of 2**-bits, so the sum is
-    off by less than a quarter unit of 2**-w before the shift down to w
-    bits.
+    s has fewer than _TOP_BITS + 1 prime factors.  Their logs come from
+    :func:`_prime_logs` at v bits, for bits >= w + kb, 2**(kb - 2) > k +
+    _TOP_BITS + 1.  Any q other than 2, 3, 5 and 7 is computed on first
+    use as ln(q - 1) + 2 atanh(1 / (2q - 1)): the logs of the primes of q -
+    1, each below q, and one series of short ints.  Unrolled, each log is
+    off by less than 2v units of 2**-v (the worst, q = 599, by 1.8v at v =
+    103), below one unit of 2**-bits, so the sum is off by less than a
+    quarter unit of 2**-w before the shift down to w bits.
     """
-    global _PRIME_LOGS
     wide = w + (k + _TOP_BITS + 1).bit_length() + 2
-    bits, logs = _PRIME_LOGS
+    bits, v, logs = _PRIME_LOGS  # read in place: a call costs 1 % per log
     if bits < wide:
-        bits = max(wide, 2 * bits)
-        v = bits + bits.bit_length() + 4
-        logs = {p: _constant(f"ln{p}", v) for p in (2, 3, 5, 7)}
-        _PRIME_LOGS = bits, logs
-    v = bits + bits.bit_length() + 4
+        bits, v, logs = _prime_logs(wide)
     total = k * logs[2]
     for q, e in factors:
         total += e * (logs[q] if q in logs else _wide_prime_log(q, v, logs))
@@ -437,61 +414,11 @@ def _wide_prime_log(q: int, v: int, logs: dict[int, int]) -> int:
     """ln q times 2**v from ``logs``, computing it and those below on first use."""
     log = logs.get(q)
     if log is None:
-        factors = _factors(q - 1, math.gcd(q - 1, _GCD_PRODUCT))
+        # q - 1 < 1009 is its own neighbour
+        factors = smooth_neighbour(q - 1)[1]
         below = sum(e * _wide_prime_log(p, v, logs) for p, e in factors)
         log = logs[q] = below + 2 * _atanh(1, 2 * q - 1, v)[0]
     return log
-
-
-def _smooth_neighbour(m: int) -> tuple[int, list[tuple[int, int]]]:
-    """The integer s nearest ``m`` >= 1 whose primes all lie below 1009.
-
-    Returns s and its prime powers; the lower one wins a tie.  A candidate
-    is tested by gcds with the product of those primes: the first is the
-    product g of the ones that divide it, and each next one divides out
-    the primes it still shares with the candidate, which qualifies when
-    nothing is left.  Only the chosen s is factored, by :func:`_factors`
-    on its g.
-    """
-    s, d = m, 0
-    while True:
-        rest, radical = s, math.gcd(s, _GCD_PRODUCT)
-        g = radical
-        while g > 1:
-            rest //= g
-            g = math.gcd(rest, g)
-        if rest == 1:
-            return s, _factors(s, radical)
-        d = -d if d < 0 else -d - 1
-        s = m + d
-
-
-def _factors(s: int, radical: int) -> list[tuple[int, int]]:
-    """(q, e) for each prime power q**e of ``s``, given the product of its primes.
-
-    The walk over the primes below 1009 divides them out of the radical and
-    stops once p**2 exceeds what is left, which is then 1 or a prime.
-    """
-    out = []
-    for p, square in _PRIME_SQUARES:
-        if square > radical:
-            break
-        if not radical % p:
-            radical //= p
-            out.append((p, _multiplicity(s, p)))
-    if radical > 1:
-        out.append((radical, _multiplicity(s, radical)))
-    return out
-
-
-def _multiplicity(s: int, p: int) -> int:
-    """How often the prime p divides ``s``, which it divides."""
-    e = 1
-    s //= p
-    while not s % p:
-        s //= p
-        e += 1
-    return e
 
 
 def _exp_fixed(t: int, w: int) -> tuple[int, int]:
@@ -528,13 +455,15 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
 
     x = a ln 10 + n ln 2 + r with |r| <= ln(2) / 2, so e**x is
     man * 2**-shift * 10**a with the decimal exponent a worked out exactly
-    and the mantissa in [1, 10).  The reduction runs at nb more bits, which
-    keep its error below 1 unit of 2**-w.
+    and the mantissa in [1, 10).  ln 2 and ln 10 = ln 2 + ln 5, from the
+    cache of :func:`_prime_logs`, are within 1.1 units of 2**-(w + nb), and
+    the nb more bits keep the reduction's error below 1 unit of 2**-w.
     """
     w2 = w + nb
     X = _to_fixed(x, w2)
-    L10 = _constant("ln10", w2)
-    L2 = _constant("ln2", w2)
+    _, v, logs = _prime_logs(w2)
+    L2 = logs[2] >> (v - w2)
+    L10 = (logs[2] + logs[5]) >> (v - w2)
     a = X // L10
     r = X - a * L10
     n = (2 * r + L2) // (2 * L2)
@@ -554,7 +483,7 @@ def _ln_smooth_kernel(n: int, w: int):
     units, and ln(2**k s) by less than 2.
     """
     k = max(n.bit_length() - _TOP_BITS, 0)
-    s, factors = _smooth_neighbour(n >> k)
+    s, factors = smooth_neighbour(n >> k)
     d = n - (s << k)
     series, i = _atanh(abs(d), n + (s << k), w)
     man = _smooth_log(k, factors, w) + 2 * (series if d >= 0 else -series)

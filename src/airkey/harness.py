@@ -18,7 +18,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .adversary import eve_attack
-from .arith import PrecisionContext
+from .arith import MAX_EXPONENT, PrecisionContext
 from .channel import FadingModel, draw_channel, estimate_csi, rayleigh_taps
 from .errors import ConfigError
 from .fullduplex import run_protocol_fmac
@@ -112,8 +112,8 @@ class ExperimentConfig:
                 problems["n_users"] = str(exc)
         if not 1 <= self.prime_digits <= 32:
             problems["prime_digits"] = "must be in [1, 32]"
-        if self.precision_digits < 16:
-            problems["precision_digits"] = "must be >= 16"
+        if not 16 <= self.precision_digits <= MAX_EXPONENT:
+            problems["precision_digits"] = f"must be in [16, {MAX_EXPONENT}]"
         if self.fading not in ("ideal", "rayleigh", "integer"):
             problems["fading"] = f"unknown fading model {self.fading!r}"
         if self.c_max < 1:

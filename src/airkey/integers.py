@@ -2,14 +2,16 @@
 
 Recovery needs a general-purpose (desk-scale) factorizer.  Small factors
 are found with one gcd against the cached product of all primes up to a
-bound: the gcd is the product of those that divide the input, and trial
-division of it by the sieve names them, each divided out at its full
-power.  Whatever survives goes to Brent's variant of Pollard's rho under
-an explicit effort budget.  An integer whose primes are all up to the
-bound is factored by the gcd alone and never fails, so a caller holding
-prime powers that multiply out to it holds, by unique factorization, the
-map :func:`factorize` would return (the legitimate full-duplex receiver's
-column does).
+bound: the gcd is the product of those that divide the input, and one
+walk over the sieve (:func:`_prime_powers`) names them, each divided out
+at its full power.  The same walk over the primes below 1009 factors the
+neighbour :func:`smooth_neighbour` finds for the log kernel of
+:mod:`airkey.arith`.  Whatever survives goes to Brent's variant of
+Pollard's rho under an explicit effort budget.  An integer whose primes
+are all up to the bound is factored by the gcd alone and never fails, so
+a caller holding prime powers that multiply out to it holds, by unique
+factorization, the map :func:`factorize` would return (the legitimate
+full-duplex receiver's column does).
 
 Primality starts with one gcd against the product of the 168 primes below
 1009.  Every composite below 1009**2 has a prime factor below 1009, so that
@@ -70,6 +72,7 @@ def sieve(bound: int) -> list[int]:
 _GCD_BOUND = 1009
 _GCD_PRIMES = frozenset(sieve(_GCD_BOUND - 1))
 _GCD_PRODUCT = math.prod(_GCD_PRIMES)
+_GCD_SQUARES = [(p, p * p) for p in sorted(_GCD_PRIMES)]
 
 
 def _mr_composite(n: int, bases) -> bool:
@@ -210,10 +213,7 @@ class Factorization:
         return cls(tuple(sorted(exponents.items())))
 
     def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return math.prod(p**e for p, e in self.factors)
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
@@ -224,46 +224,70 @@ class Factorization:
 
 def radical(f: Factorization) -> int:
     """Product of the distinct primes of ``f``."""
-    out = 1
-    for p in f.primes():
-        out *= p
-    return out
+    return math.prod(f.primes())
+
+
+def smooth_neighbour(m: int) -> tuple[int, list[tuple[int, int]]]:
+    """The integer s nearest ``m`` >= 1 whose primes all lie below 1009.
+
+    Returns s and its prime powers; the lower one wins a tie.  A candidate
+    is tested by gcds with the product of those primes: the first is the
+    product g of the ones that divide it, and each next one divides out
+    the primes it still shares with the candidate, which qualifies when
+    nothing is left.  Only the chosen s is factored, by the walk over its g.
+    """
+    s, d = m, 0
+    while True:
+        rest, shared = s, math.gcd(s, _GCD_PRODUCT)
+        g = shared
+        while g > 1:
+            rest //= g
+            g = math.gcd(rest, g)
+        if rest == 1:
+            return s, _prime_powers(s, shared, _GCD_SQUARES)[0]
+        d = -d if d < 0 else -d - 1
+        s = m + d
 
 
 @cache
-def _small_primes() -> tuple[list[int], int]:
-    """All primes <= SMOOTH_BOUND, and their product."""
+def _small_primes() -> tuple[list[tuple[int, int]], int]:
+    """(p, p**2) for all primes p <= SMOOTH_BOUND, and their product."""
     primes = sieve(SMOOTH_BOUND)
-    return primes, math.prod(primes)
+    return [(p, p * p) for p in primes], math.prod(primes)
 
 
 def _strip_small_primes(n: int) -> tuple[dict[int, int], int]:
-    """Exponents of the primes up to SMOOTH_BOUND in ``n``, and the cofactor.
+    """Exponents of the primes up to SMOOTH_BOUND in ``n``, and the cofactor."""
+    squares, product = _small_primes()
+    powers, n = _prime_powers(n, math.gcd(n, product), squares)
+    return dict(powers), n
 
-    One gcd with the product of those primes leaves g, the product of the
-    ones that divide ``n``; trial division of g by the sieve, which stops
-    when g reaches 1, names them, and each is divided out at its full power.
+
+def _prime_powers(n: int, g: int, squares) -> tuple[list[tuple[int, int]], int]:
+    """(p, e) for each p**e exactly dividing ``n`` with p | ``g``, and the cofactor.
+
+    ``g`` is the product of the primes of a list that divide ``n``, one gcd
+    with the list's product; ``squares`` holds (p, p**2) for each prime of
+    the list, ascending.  The walk divides each p of g out of g and, at its
+    full power, out of n.  Once p**2 exceeds what is left of g, that is 1
+    or a prime, the last one taken.
     """
-    primes, product = _small_primes()
-    g = math.gcd(n, product)
-    exponents: dict[int, int] = {}
-    for p in primes:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            n, exponents[p] = _divide_out(n, p)
-    return exponents, n
-
-
-def _divide_out(n: int, p: int) -> tuple[int, int]:
-    """``n`` with every factor ``p`` divided out, and how many there were."""
-    e = 0
-    q, r = divmod(n, p)
-    while not r:
-        n, e = q, e + 1
-        q, r = divmod(n, p)
-    return n, e
+    powers = []
+    for p, square in squares:
+        if square > g:
+            if g == 1:
+                break
+            p = g
+        elif g % p:
+            continue
+        g //= p
+        n //= p
+        e = 1
+        while not n % p:
+            n //= p
+            e += 1
+        powers.append((p, e))
+    return powers, n
 
 
 def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
@@ -329,7 +353,8 @@ def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
         if c == 1:
             continue
         if is_probable_prime(c):
-            m, exponents[c] = _divide_out(m, c)
+            powers, m = _prime_powers(m, c, [(c, c * c)])
+            exponents.update(powers)
             continue
         factor = 0
         for seed in range(64):

@@ -3,6 +3,11 @@
 The protocols end with a shared integer; applications want fixed-length
 key bits.  Derivation is a standard extract-then-expand construction over
 HMAC-SHA256, domain-separated by a caller-supplied context label.
+
+A derived key holds no more entropy than the secret.  The secret is a
+product of N distinct d-digit primes drawn uniformly, so it carries
+log2 C(K_d, N) bits, K_d the number of d-digit primes: 59.7 bits for the
+default config (hmac, N = 4, 6-digit primes), whatever ``length_bits`` is.
 """
 
 from __future__ import annotations

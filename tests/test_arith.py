@@ -15,7 +15,7 @@ from airkey import (
     to_bigreal,
 )
 from airkey.arith import nearest_integer
-from airkey.integers import _GCD_PRIMES, sample_prime, sieve
+from airkey.integers import _GCD_PRIMES, sample_prime, sieve, smooth_neighbour
 
 CTX = PrecisionContext(50)
 
@@ -518,7 +518,7 @@ class TestSmoothNeighbourLn:
         # n = 2**k s with s's primes below 1009: the series argument is 0 and
         # the result is the sum of the cached logs of those primes
         k = max(n.bit_length() - arith._TOP_BITS, 0)
-        s, factors = arith._smooth_neighbour(n >> k)
+        s, factors = smooth_neighbour(n >> k)
         assert s << k == n and math.prod(q**e for q, e in factors) == s
         got = ln(n, PrecisionContext(digits))
         assert got.as_tuple() == Decimal(n).ln(libmpdec(digits)).as_tuple()
@@ -616,7 +616,7 @@ class TestSmoothNeighbourLn:
         for a, b in zip(smooth, smooth[1:]):
             for m in range(a, min(b, top)):
                 s = a if m - a <= b - m else b
-                assert arith._smooth_neighbour(m)[0] == s, m
+                assert smooth_neighbour(m)[0] == s, m
                 z = (abs(m - s) + (m >= top // 2)) / (m + s)
                 worst = max(worst, z)
         assert worst <= 1 / 21
@@ -626,7 +626,7 @@ class TestSmoothNeighbourLn:
         for m in [1, 2, 1008, 1009, 1010, 2**arith._TOP_BITS - 1] + [
             rng.randrange(1, 2**arith._TOP_BITS) for _ in range(500)
         ]:
-            s, factors = arith._smooth_neighbour(m)
+            s, factors = smooth_neighbour(m)
             assert math.prod(q**e for q, e in factors) == s
             assert all(q in _GCD_PRIMES and e >= 1 for q, e in factors)
             assert [q for q, _ in factors] == sorted({q for q, _ in factors})
@@ -670,7 +670,7 @@ class TestSmoothNeighbourLn:
 def one_division_series(n: int, w: int) -> tuple[int, int]:
     """ln n * 2**w and its error bound, each series term divided by t * t once."""
     k = max(n.bit_length() - arith._TOP_BITS, 0)
-    s, factors = arith._smooth_neighbour(n >> k)
+    s, factors = smooth_neighbour(n >> k)
     d, t = n - (s << k), n + (s << k)
     d2, t2 = d * d, t * t
     term = series = (abs(d) << w) // t
@@ -685,32 +685,61 @@ def one_division_series(n: int, w: int) -> tuple[int, int]:
 
 
 class TestMachinBasis:
-    """ln 2, 3, 5, 7 and 10 from the same four acoth sums."""
+    """ln 2, 3, 5 and 7 from the same four acoth sums, in the one prime-log cache."""
 
     def test_rows_invert_the_exponent_matrix(self):
         # 2 acoth(q) = ln((q + 1) / (q - 1)) for 126/125, 225/224,
-        # 2401/2400 and 4375/4374, as exponents of 2, 3, 5 and 7
+        # 2401/2400 and 4375/4374, as exponents of 2, 3, 5 and 7; the rows
+        # are keyed by the prime whose log they give
         matrix = [(1, 2, -3, 1), (-5, 2, 2, -1), (-5, -1, -2, 4), (-1, -7, 4, 1)]
-        rows = [arith._MACHIN[name] for name in ("ln2", "ln3", "ln5", "ln7")]
+        assert list(arith._MACHIN) == [2, 3, 5, 7]
+        rows = list(arith._MACHIN.values())
         for i, row in enumerate(rows):
             for j in range(4):
                 assert sum(row[k] * matrix[k][j] for k in range(4)) == (i == j)
-        ln10 = arith._MACHIN["ln10"]
-        assert ln10 == tuple(a + b for a, b in zip(rows[0], rows[2]))
 
     @pytest.mark.parametrize("w", [86, 300, 1333, 5700])
-    def test_constants_within_three_units(self, w):
+    def test_constants_within_three_units(self, w, monkeypatch):
+        # ln 2, 3, 5 and 7 as the cache holds them, and ln 10 = ln 2 + ln 5
+        # as the exponential reads it, shifted down to w bits
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
+        _, v, logs = arith._prime_logs(w)
+        got = {q: logs[q] >> (v - w) for q in (2, 3, 5, 7)}
+        got[10] = (logs[2] + logs[5]) >> (v - w)
         oracle = libmpdec(int(w * math.log10(2)) + 30)
-        for name, q in (("ln2", 2), ("ln3", 3), ("ln5", 5), ("ln7", 7), ("ln10", 10)):
+        for q, log in got.items():
             exact = oracle.multiply(Decimal(q).ln(oracle), 2**w)
-            assert abs(arith._constant(name, w) - exact) < 3, (name, w)
+            assert abs(oracle.subtract(log, exact)) < 3, (q, w)
+
+    def test_exp_widens_the_cache_first(self, monkeypatch):
+        # exp and the integer kernel share the cache: an exponential wider
+        # than every log so far starts it again at its width, and every ln q,
+        # q < 1009, then cached, at that width or a narrower one, is still
+        # within its bound
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
+        primes = sorted(_GCD_PRIMES)
+        for q in primes:
+            arith._smooth_log(0, [(q, 1)], 86)
+        narrow = arith._PRIME_LOGS[0]
+        digits = 200
+        x = Decimal("123.456")
+        assert exp(x, PrecisionContext(digits)).as_tuple() == x.exp(libmpdec(digits)).as_tuple()
+        bits, _, logs = arith._PRIME_LOGS
+        assert bits > 3 * digits > 2 * narrow and sorted(logs) == [2, 3, 5, 7]
+        for w in (86, 3 * digits):
+            oracle = libmpdec(int(w * math.log10(2)) + 30)
+            for q in primes:
+                got = arith._smooth_log(0, [(q, 1)], w)
+                exact = oracle.multiply(Decimal(q).ln(oracle), 2**w)
+                assert abs(oracle.subtract(got, exact)) < 3, (q, w)
+        assert arith._PRIME_LOGS[0] == bits and len(arith._PRIME_LOGS[2]) == 168
 
     def test_cached_prime_logs_within_three_units(self, monkeypatch):
         # every ln q, q < 1009, from the cache as it is built at 86 bits and
         # widened to 1 333, then from the cache widened to 5 700 at that
         # width (599 has the longest chain of logs below it) and again at
         # the narrower ones
-        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, {}))
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
 
         def exact_logs(primes, w):
             oracle = libmpdec(int(w * math.log10(2)) + 30)
@@ -727,5 +756,5 @@ class TestMachinBasis:
         check(*exact_logs([2, 11, 599, 997], 5700), 5700)
         for w in (86, 300, 1333):
             check(*narrow, w)
-        bits, logs = arith._PRIME_LOGS
+        bits, _, logs = arith._PRIME_LOGS
         assert bits >= 5700 and len(logs) == 168

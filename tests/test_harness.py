@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from airkey import ConfigError, ExperimentConfig, run_experiment, sweep
+from airkey.arith import MAX_EXPONENT
 from airkey.cli import main
 from airkey.harness import child_seed, run_trial
 
@@ -70,6 +71,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as e:
             cfg(**(value if isinstance(value, dict) else {field: value}))
         assert field in e.value.problems
+
+    @pytest.mark.parametrize("digits", [15, MAX_EXPONENT + 1, 10**9])
+    def test_precision_outside_16_to_max_exponent(self, digits):
+        # no log or exponential is asked for more digits than the sizing
+        # rule ever carries; 10**9 would shift ints by about 3.3e9 bits
+        cfg(precision_digits=MAX_EXPONENT)
+        with pytest.raises(ConfigError) as e:
+            cfg(precision_digits=digits)
+        assert "precision_digits" in e.value.problems
 
     @pytest.mark.parametrize(
         "doc,field",
@@ -286,6 +296,14 @@ class TestCli:
             "--out", str(target / "sub"),
         )
         assert code == 3
+
+    def test_precision_above_max_exponent_exits_2(self, tmp_path):
+        code = self.run_cli(
+            "run", "--precision", str(MAX_EXPONENT + 1), "--seed", "1",
+            "--trials", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_typed_config_field_exits_2(self, tmp_path):
         conf = tmp_path / "c.json"

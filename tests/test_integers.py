@@ -17,8 +17,12 @@ from airkey import (
 )
 from airkey.arith import PrecisionContext, integer_logs
 from airkey.integers import (
+    _GCD_PRIMES,
+    _GCD_SQUARES,
     _PRIME_COUNT,
     SMOOTH_BOUND,
+    _prime_powers,
+    _small_primes,
     _strip_small_primes,
     sieve,
 )
@@ -356,6 +360,70 @@ class TestFactorize:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             factorize(1)
+
+
+def trial_division(n: int, primes) -> tuple[list[tuple[int, int]], int]:
+    """(p, e) for each p**e exactly dividing ``n``, p in ``primes``, and the rest."""
+    powers = []
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            powers.append((p, e))
+    return powers, n
+
+
+class TestSmallPrimeWalk:
+    """The one walk that names small primes, for the log neighbour and factorize.
+
+    Over either list, the primes below 1009 or those up to SMOOTH_BOUND, it
+    must give what trial division by every prime of the list gives.
+    """
+
+    @staticmethod
+    def walk(n: int, primes: list[int], squares):
+        return _prime_powers(n, math.gcd(n, math.prod(primes)), squares)
+
+    def test_smooth_integers_below_2_to_18(self):
+        rng = random.Random(41)
+        primes = sorted(_GCD_PRIMES)
+        checked = 0
+        for _ in range(3000):
+            s = rng.randrange(1, 2**18)
+            want = trial_division(s, primes)
+            if want[1] == 1:
+                assert self.walk(s, primes, _GCD_SQUARES) == want, s
+                checked += 1
+        assert checked > 1000
+
+    def test_products_of_eleven_five_digit_primes(self):
+        rng = random.Random(42)
+        squares, _ = _small_primes()
+        primes = [p for p, _ in squares]
+        five = [p for p in primes if p >= 10_000]
+        for _ in range(12):
+            n = math.prod(p ** rng.randrange(1, 9) for p in rng.sample(five, 11))
+            n *= rng.choice([1, 2**5 * 3, 100_003, 1_000_003**2])
+            assert self.walk(n, primes, squares) == trial_division(n, primes), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 2**17, 997, 997**2 * 5, 263 * 997, 2 * 3 * 5 * 7 * 11 * 13,
+         1009, 1009**2 * 1013, 2**3 * 1019],
+    )
+    def test_what_is_left_of_g_is_one_or_a_prime(self, n):
+        # the walk stops once p**2 exceeds what is left of g: 1 when no prime
+        # of the list divides n, else the largest prime of g, divided out of
+        # n like the others
+        primes = sorted(_GCD_PRIMES)
+        assert self.walk(n, primes, _GCD_SQUARES) == trial_division(n, primes)
+
+    def test_a_list_of_one_prime_divides_it_out(self):
+        # factorize divides a prime that rho found out of its cofactor so
+        q = 1_000_003
+        assert _prime_powers(7 * q**3, q, [(q, q * q)]) == ([(q, 3)], 7)
 
 
 def factor_or_message(n: int, **kw):
