@@ -37,9 +37,9 @@ inside the 2-ulp contract, and equal libmpdec's ``Decimal.ln``/``Decimal.exp``
 digit for digit and exponent for exponent.
 
 One cache holds every constant the kernels read: ln q for the primes q
-below 1009, at the widest precision asked for so far.  ln 2, 3, 5 and 7
-come from four atanh sums, and each other q's, on first use, from ln(q -
-1) + 2 atanh(1 / (2q - 1)).
+below 1009, at the widest precision asked for so far.  Each is made on
+first use by one recursion, ln q = ln(q - 1) + 2 atanh(1 / (2q - 1)),
+from the logs of the primes of q - 1; ln 2 is 2 atanh(1/3).
 
 - The log of an integer n is that of 2**k s plus 2 atanh((n - 2**k s) /
   (n + 2**k s)), where s is the integer nearest the top bits n >> k, below
@@ -171,9 +171,10 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     """Natural logarithm of ``x`` (> 0), correctly rounded to ctx.digits.
 
     An integral ``x`` below 10**40, which covers every prime a config
-    accepts, takes :func:`integer_logs`; any other ``x`` takes libmpdec's
-    ``Decimal.ln``.  Both round half-even, within 0.5 ulp, so
-    the result is inside the 2-ulp contract; ``ln(1)`` is exactly ``0``.
+    accepts, takes the integer kernel of :func:`integer_logs`; any other
+    ``x`` takes libmpdec's ``Decimal.ln``.  Both round half-even, within
+    0.5 ulp, so the result is inside the 2-ulp contract; ``ln(1)`` is
+    exactly ``0``.
     """
     x = to_bigreal(x)
     if not x.is_finite() or x <= 0:
@@ -181,7 +182,8 @@ def ln(x: BigReal, ctx: PrecisionContext) -> BigReal:
     if x == 1:
         return Decimal(0)
     if x.adjusted() < 40 and x == x.to_integral_value():
-        return integer_logs([int(x)], ctx).values[0]
+        kernel = partial(_ln_smooth_kernel, int(x))
+        return _correctly_rounded(kernel, ctx.digits, _ZIV_GUARD)
     return x.ln(_context(ctx.digits))
 
 
@@ -237,8 +239,9 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
     """One log per integer at ``ctx``, kept in fixed point for :func:`exp`.
 
     Each kernel runs once, at the first width of Ziv's loop; a log whose
-    rounding that width leaves undecided runs the loop, as ``ln`` would.
-    Every integer, of any size, takes the integer kernel.
+    rounding that width leaves undecided runs the rest of the loop, from
+    twice the guard bits.  Every integer, of any size, takes the integer
+    kernel.
     """
     bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
     values, fixed, errors = [], [], []
@@ -248,7 +251,8 @@ def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:
         man, err, _, _ = _ln_smooth_kernel(n, bits)
         value = _round_half_even(man, err, bits, 0, ctx.digits)
         if value is None:
-            value = _correctly_rounded(partial(_ln_smooth_kernel, n), ctx.digits)
+            kernel = partial(_ln_smooth_kernel, n)
+            value = _correctly_rounded(kernel, ctx.digits, 2 * _ZIV_GUARD)
         values.append(value)
         fixed.append(man)
         errors.append(err)
@@ -292,7 +296,8 @@ def exp(x: BigReal, ctx: PrecisionContext, near: Near | None = None) -> BigReal:
             return result
     # bits that x / ln 2 and the reduction's error take up: 2**nb >= 4 (|x| + 16)
     nb = (int(abs(approx)) + 16).bit_length() + 2
-    return _correctly_rounded(lambda w: _exp_kernel(x, nb, w), ctx.digits)
+    kernel = partial(_exp_kernel, x, nb)
+    return _correctly_rounded(kernel, ctx.digits, _ZIV_GUARD)
 
 
 # --- binary fixed-point kernel -------------------------------------------
@@ -308,25 +313,13 @@ _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
 _ZIV_GUARD = 32  # guard bits of the first try
 
-# ln 2, 3, 5 and 7 as integer combinations of the four sums 2 atanh(1/q) for
-# q = 251, 449, 4801 and 8749, that is ln(126/125), ln(225/224),
-# ln(2401/2400) and ln(4375/4374) (Brent and Zimmermann ch. 4).  Their
-# exponent matrix over 2, 3, 5 and 7 has determinant -1, so it has an
-# integral inverse, whose rows these are.
-_ACOTH_Q = (251, 449, 4801, 8749)
-_MACHIN = {
-    2: (72, 27, -19, 31),
-    3: (114, 43, -30, 49),
-    5: (167, 63, -44, 72),
-    7: (202, 76, -53, 87),
-}
 # The integer kernel keeps the top bits m = n >> k below 2**_TOP_BITS and
 # takes the log of m's nearest neighbour whose primes all lie below 1009.
 # Measured per log: 20 bits cost 7-12-digit primes 5-12 % at 245-460 bits,
 # where the neighbour search outweighs the series; 16 cost 6- and 7-digit
 # primes 6 % at 1 300 bits, where the longer series does.
 _TOP_BITS = 18
-# (bits, v, {q: ln q * 2**v}), v = bits + bits.bit_length() + 4, for the
+# (bits, v, {q: ln q * 2**v}), v = bits + bits.bit_length() + 5, for the
 # primes q below 1009 computed so far; bits is the widest precision asked for
 _PRIME_LOGS: tuple[int, int, dict[int, int]] = (0, 0, {})
 
@@ -341,11 +334,12 @@ def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
     not, since a one-limb divisor takes CPython's short division.  Where t
     is wider than an eighth of w, that division costs more than a product
     of two w-bit ints, so z**2 = d**2 / t**2 is read once at w bits and each
-    term is one product and a shift.  For d / t <= 1/21 a term is within
-    2.01 units, since (d / t)**2 <= 1/441 damps earlier errors, and
-    dividing it by its odd index i >= 3 leaves it within 1.67; the first
-    term is within 1 and the tail left when a term reaches 0 is below 1.
-    So the sum is low by less than i + 1 units.
+    term is one product and a shift.  Either way a step adds less than 2
+    units, all low, so for d / t <= 1/3 a term is within 2.25 units, since
+    (d / t)**2 <= 1/9 damps earlier errors, and dividing it by its odd
+    index i >= 3 leaves it within 1.75; the first term is within 1 and the
+    tail left when a term reaches 0 is below 0.85.  So the sum is low by
+    less than i + 1 units.
     """
     d2, t2 = d * d, t * t
     term = total = (d << w) // t
@@ -368,23 +362,37 @@ def _atanh(d: int, t: int, w: int) -> tuple[int, int]:
 def _prime_logs(w: int) -> tuple[int, int, dict[int, int]]:
     """The cache (bits, v, logs) of ln q * 2**v, widened to bits >= ``w``.
 
-    A request wider than bits, the widest so far, starts the cache again at
-    least twice as wide, with ln 2, 3, 5 and 7 from the same four sums 2
-    atanh(1/q) at V = v + extra bits.  A sum of n terms is low by less than
-    2 (n + 2) units, n <= V / 15 + 1 for q >= 251, and the coefficients of
-    a row add up to at most 495 in absolute value, so a row is off by less
-    than 66 V + 3000 units of 2**-V.  With 2**extra > 1024 v and v >= 86
-    that is below 0.2 units of 2**-v, and the shift down adds less than 1.
+    A request wider than bits, the widest so far, empties the cache and
+    starts it again at least twice as wide; :func:`_prime_log` fills it.
     """
     global _PRIME_LOGS
     if _PRIME_LOGS[0] < w:
         bits = max(w, 2 * _PRIME_LOGS[0])
-        v = bits + bits.bit_length() + 4
-        extra = v.bit_length() + 10
-        sums = [2 * _atanh(1, q, v + extra)[0] for q in _ACOTH_Q]
-        logs = {q: sum(map(mul, row, sums)) >> extra for q, row in _MACHIN.items()}
-        _PRIME_LOGS = bits, v, logs
+        _PRIME_LOGS = bits, bits + bits.bit_length() + 5, {}
     return _PRIME_LOGS
+
+
+def _prime_log(q: int, v: int, logs: dict[int, int]) -> int:
+    """ln q times 2**v from ``logs``, computing it and those below on first use.
+
+    ln q = ln(q - 1) + 2 atanh(1 / (2q - 1)): the logs of the primes of
+    q - 1, which is below 1009 and so its own neighbour, and one series of
+    short ints whose argument is at most 1/3.  ln 2 is the series alone,
+    since 1 has no primes.  The series of i terms is low by less than
+    i + 1 units, and i <= v / log2(2q - 1) + 2, so ln q is low by less than
+    B(q) = sum e B(p) + 2 (i + 1) units of 2**-v, over the p**e of q - 1.
+    Unrolled over the primes below 1009 that is below 14v + 90 (the worst
+    is q = 967), and below 4.5v + 24 for ln 2 + ln 5.  With v = bits +
+    bits.bit_length() + 5, 2**(v - bits) > 32 bits exceeds 14v + 90 from
+    bits = 13 on, so every cached log is off by less than one unit of
+    2**-bits, and ln 2 + ln 5 by less than 0.3.
+    """
+    log = logs.get(q)
+    if log is None:
+        factors = smooth_neighbour(q - 1)[1]
+        below = sum(e * _prime_log(p, v, logs) for p, e in factors)
+        log = logs[q] = below + 2 * _atanh(1, 2 * q - 1, v)[0]
+    return log
 
 
 def _smooth_log(k: int, factors, w: int) -> int:
@@ -392,33 +400,20 @@ def _smooth_log(k: int, factors, w: int) -> int:
 
     Every q is a prime below 1009 and s is below 2**(_TOP_BITS + 1), so
     s has fewer than _TOP_BITS + 1 prime factors.  Their logs come from
-    :func:`_prime_logs` at v bits, for bits >= w + kb, 2**(kb - 2) > k +
-    _TOP_BITS + 1.  Any q other than 2, 3, 5 and 7 is computed on first
-    use as ln(q - 1) + 2 atanh(1 / (2q - 1)): the logs of the primes of q -
-    1, each below q, and one series of short ints.  Unrolled, each log is
-    off by less than 2v units of 2**-v (the worst, q = 599, by 1.8v at v =
-    103), below one unit of 2**-bits, so the sum is off by less than a
-    quarter unit of 2**-w before the shift down to w bits.
+    :func:`_prime_log` at v bits, for bits >= w + kb, 2**(kb - 2) > k +
+    _TOP_BITS + 1.  Each is off by less than one unit of 2**-bits (the
+    worst, q = 967, by less than 14v + 90 units of 2**-v), so the sum is
+    off by less than a quarter unit of 2**-w before the shift down to w
+    bits.
     """
     wide = w + (k + _TOP_BITS + 1).bit_length() + 2
     bits, v, logs = _PRIME_LOGS  # read in place: a call costs 1 % per log
     if bits < wide:
         bits, v, logs = _prime_logs(wide)
-    total = k * logs[2]
+    total = k * (logs[2] if 2 in logs else _prime_log(2, v, logs))
     for q, e in factors:
-        total += e * (logs[q] if q in logs else _wide_prime_log(q, v, logs))
+        total += e * (logs[q] if q in logs else _prime_log(q, v, logs))
     return total >> (v - w)
-
-
-def _wide_prime_log(q: int, v: int, logs: dict[int, int]) -> int:
-    """ln q times 2**v from ``logs``, computing it and those below on first use."""
-    log = logs.get(q)
-    if log is None:
-        # q - 1 < 1009 is its own neighbour
-        factors = smooth_neighbour(q - 1)[1]
-        below = sum(e * _wide_prime_log(p, v, logs) for p, e in factors)
-        log = logs[q] = below + 2 * _atanh(1, 2 * q - 1, v)[0]
-    return log
 
 
 def _exp_fixed(t: int, w: int) -> tuple[int, int]:
@@ -455,15 +450,16 @@ def _exp_kernel(x: Decimal, nb: int, w: int):
 
     x = a ln 10 + n ln 2 + r with |r| <= ln(2) / 2, so e**x is
     man * 2**-shift * 10**a with the decimal exponent a worked out exactly
-    and the mantissa in [1, 10).  ln 2 and ln 10 = ln 2 + ln 5, from the
-    cache of :func:`_prime_logs`, are within 1.1 units of 2**-(w + nb), and
-    the nb more bits keep the reduction's error below 1 unit of 2**-w.
+    and the mantissa in [1, 10).  ln 2 and ln 10 = ln 2 + ln 5, from
+    :func:`_prime_log`, are within 1.3 units of 2**-(w + nb), and the nb
+    more bits keep the reduction's error below 1 unit of 2**-w.
     """
     w2 = w + nb
     X = _to_fixed(x, w2)
     _, v, logs = _prime_logs(w2)
-    L2 = logs[2] >> (v - w2)
-    L10 = (logs[2] + logs[5]) >> (v - w2)
+    ln2 = _prime_log(2, v, logs)
+    L2 = ln2 >> (v - w2)
+    L10 = (ln2 + _prime_log(5, v, logs)) >> (v - w2)
     a = X // L10
     r = X - a * L10
     n = (2 * r + L2) // (2 * L2)
@@ -520,10 +516,13 @@ def _to_fixed(x: Decimal, w: int) -> int:
     return (int(x.scaleb(k, EXACT)) << w) // 10**k
 
 
-def _correctly_rounded(kernel, digits: int) -> Decimal:
-    """The kernel's value rounded half-even to ``digits`` digits (Ziv's loop)."""
+def _correctly_rounded(kernel, digits: int, guard: int) -> Decimal:
+    """The kernel's value rounded half-even to ``digits`` digits (Ziv's loop).
+
+    The first try carries ``guard`` bits beyond those of the digits, and
+    each next one twice as many.
+    """
     bits = int(digits * _LOG2_10) + 1
-    guard = _ZIV_GUARD
     while True:
         result = _round_half_even(*kernel(bits + guard), digits)
         if result is not None:

@@ -15,7 +15,13 @@ from airkey import (
     to_bigreal,
 )
 from airkey.arith import nearest_integer
-from airkey.integers import _GCD_PRIMES, sample_prime, sieve, smooth_neighbour
+from airkey.integers import (
+    _GCD_PRIMES,
+    sample_distinct_primes,
+    sample_prime,
+    sieve,
+    smooth_neighbour,
+)
 
 CTX = PrecisionContext(50)
 
@@ -652,6 +658,25 @@ class TestSmoothNeighbourLn:
                 assert ln(p, ctx).as_tuple() == want.as_tuple()
         assert calls["undecided"] > 0
 
+    def test_integer_logs_evaluate_no_width_twice(self, monkeypatch):
+        # a log the first width leaves undecided goes on from twice the
+        # guard bits, never back to the width it was left undecided at
+        monkeypatch.setattr(arith, "_ZIV_GUARD", 6)
+        evaluated = []
+        kernel = arith._ln_smooth_kernel
+
+        def recorded(n, w):
+            evaluated.append((n, w))
+            return kernel(n, w)
+
+        monkeypatch.setattr(arith, "_ln_smooth_kernel", recorded)
+        primes = [p.value for p in sample_distinct_primes(300, 6, random.Random(4))[0]]
+        logs = arith.integer_logs(primes, PrecisionContext(64))
+        assert len(evaluated) > len(primes)
+        assert len(set(evaluated)) == len(evaluated)
+        for p, value in zip(primes, logs.values):
+            assert value.as_tuple() == Decimal(p).ln(libmpdec(64)).as_tuple(), p
+
     @pytest.mark.parametrize("digits", [64, 256, 1024])
     def test_series_terms_match_one_division_by_t_squared(self, digits):
         # the kernel divides a term by t twice where t is one limb and t**2
@@ -685,27 +710,22 @@ def one_division_series(n: int, w: int) -> tuple[int, int]:
 
 
 class TestMachinBasis:
-    """ln 2, 3, 5 and 7 from the same four acoth sums, in the one prime-log cache."""
+    """ln 2, 3, 5 and 7 made like every other cached prime log.
 
-    def test_rows_invert_the_exponent_matrix(self):
-        # 2 acoth(q) = ln((q + 1) / (q - 1)) for 126/125, 225/224,
-        # 2401/2400 and 4375/4374, as exponents of 2, 3, 5 and 7; the rows
-        # are keyed by the prime whose log they give
-        matrix = [(1, 2, -3, 1), (-5, 2, 2, -1), (-5, -1, -2, 4), (-1, -7, 4, 1)]
-        assert list(arith._MACHIN) == [2, 3, 5, 7]
-        rows = list(arith._MACHIN.values())
-        for i, row in enumerate(rows):
-            for j in range(4):
-                assert sum(row[k] * matrix[k][j] for k in range(4)) == (i == j)
+    Every ln q, q < 1009, enters the one cache by ln q = ln(q - 1) +
+    2 atanh(1 / (2q - 1)), ln 2 as 2 atanh(1/3).
+    """
 
     @pytest.mark.parametrize("w", [86, 300, 1333, 5700])
     def test_constants_within_three_units(self, w, monkeypatch):
-        # ln 2, 3, 5 and 7 as the cache holds them, and ln 10 = ln 2 + ln 5
+        # ln 2, 3, 5 and 7 made from an empty cache, and ln 10 = ln 2 + ln 5
         # as the exponential reads it, shifted down to w bits
         monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
         _, v, logs = arith._prime_logs(w)
-        got = {q: logs[q] >> (v - w) for q in (2, 3, 5, 7)}
-        got[10] = (logs[2] + logs[5]) >> (v - w)
+        assert logs == {}
+        got = {q: arith._prime_log(q, v, logs) >> (v - w) for q in (2, 3, 5, 7)}
+        got[10] = (arith._prime_log(2, v, logs) + arith._prime_log(5, v, logs)) >> (v - w)
+        assert sorted(logs) == [2, 3, 5, 7]
         oracle = libmpdec(int(w * math.log10(2)) + 30)
         for q, log in got.items():
             exact = oracle.multiply(Decimal(q).ln(oracle), 2**w)
@@ -713,9 +733,9 @@ class TestMachinBasis:
 
     def test_exp_widens_the_cache_first(self, monkeypatch):
         # exp and the integer kernel share the cache: an exponential wider
-        # than every log so far starts it again at its width, and every ln q,
-        # q < 1009, then cached, at that width or a narrower one, is still
-        # within its bound
+        # than every log so far starts it again at its width with ln 2 and
+        # ln 5 alone, and every ln q, q < 1009, then cached, at that width
+        # or a narrower one, is still within its bound
         monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
         primes = sorted(_GCD_PRIMES)
         for q in primes:
@@ -725,7 +745,7 @@ class TestMachinBasis:
         x = Decimal("123.456")
         assert exp(x, PrecisionContext(digits)).as_tuple() == x.exp(libmpdec(digits)).as_tuple()
         bits, _, logs = arith._PRIME_LOGS
-        assert bits > 3 * digits > 2 * narrow and sorted(logs) == [2, 3, 5, 7]
+        assert bits > 3 * digits > 2 * narrow and sorted(logs) == [2, 5]
         for w in (86, 3 * digits):
             oracle = libmpdec(int(w * math.log10(2)) + 30)
             for q in primes:
@@ -737,8 +757,8 @@ class TestMachinBasis:
     def test_cached_prime_logs_within_three_units(self, monkeypatch):
         # every ln q, q < 1009, from the cache as it is built at 86 bits and
         # widened to 1 333, then from the cache widened to 5 700 at that
-        # width (599 has the longest chain of logs below it) and again at
-        # the narrower ones
+        # width (967 has the largest error bound) and again at the narrower
+        # ones
         monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
 
         def exact_logs(primes, w):
@@ -753,8 +773,39 @@ class TestMachinBasis:
         narrow = exact_logs(sorted(_GCD_PRIMES), 1333)
         for w in (86, 300, 1333):
             check(*narrow, w)
-        check(*exact_logs([2, 11, 599, 997], 5700), 5700)
+        check(*exact_logs([2, 11, 599, 967, 997], 5700), 5700)
         for w in (86, 300, 1333):
             check(*narrow, w)
         bits, _, logs = arith._PRIME_LOGS
         assert bits >= 5700 and len(logs) == 168
+
+    @pytest.mark.parametrize(
+        "bits", [86, 93, 100, 1000, 5700, 11000] + [2**j - 1 for j in range(7, 14)]
+    )
+    def test_error_bounds_stay_below_one_unit_of_the_cache_width(self, bits, monkeypatch):
+        # ln q is low by less than B(q) = sum e B(p) + 2 (i + 1) units of
+        # 2**-v, over the p**e of q - 1 and the i terms of q's series; the
+        # cache's v keeps every B(q) below one unit of 2**-bits, and
+        # B(2) + B(5), the error of ln 10, below 0.3, also where bits is
+        # 2**j - 1 and its spare bits v - bits are fewest for its size
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
+        _, v, _ = arith._prime_logs(bits)
+        bound = {}
+        for q in sorted(_GCD_PRIMES):
+            below = sum(e * bound[p] for p, e in smooth_neighbour(q - 1)[1])
+            bound[q] = below + 2 * (arith._atanh(1, 2 * q - 1, v)[1] + 1)
+        budget = 2 ** (v - bits)
+        assert max(bound.values()) < min(budget, 14 * v + 90)
+        assert bound[2] + bound[5] < min(0.3 * budget, 4.5 * v + 24)
+
+    def test_cached_logs_do_not_depend_on_the_order_of_first_use(self, monkeypatch):
+        monkeypatch.setattr(arith, "_PRIME_LOGS", (0, 0, {}))
+        _, v, _ = arith._prime_logs(1333)
+        primes = sorted(_GCD_PRIMES)
+        top_first, ascending = {}, {}
+        for q in [997] + primes:
+            arith._prime_log(q, v, top_first)
+        for q in primes:
+            arith._prime_log(q, v, ascending)
+        assert list(top_first) != list(ascending)
+        assert top_first == ascending and len(ascending) == 168
