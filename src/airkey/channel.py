@@ -108,8 +108,7 @@ def _gain_source(model: FadingModel, h_star: BigReal, rng: random.Random):
     """A function that draws one (gain, c) pair of ``model`` from ``rng``.
 
     c is None outside integer mode.  In integer mode c comes from the
-    ``getrandbits`` calls of ``rng.randint(1, c_max)``, and each product
-    c * h_star is computed once, the first time c is drawn.
+    ``getrandbits`` calls of ``rng.randint(1, c_max)``.
     """
     if model.kind == "ideal":
         unit = Decimal(1), None
@@ -118,16 +117,12 @@ def _gain_source(model: FadingModel, h_star: BigReal, rng: random.Random):
         scale = float(model.scale)
         return lambda: (_rayleigh_gain(scale, rng), None)
     c_max, k = model.c_max, model.c_max.bit_length()
-    gains: dict[int, BigReal] = {}
 
     def integer_gain():
         r = rng.getrandbits(k)
         while r >= c_max:
             r = rng.getrandbits(k)
-        gain = gains.get(r)
-        if gain is None:
-            gain = gains[r] = EXACT.multiply(h_star, r + 1)
-        return gain, r + 1
+        return EXACT.multiply(h_star, r + 1), r + 1
 
     return integer_gain
 
@@ -181,13 +176,6 @@ def rayleigh_taps(n: int, scale, rng: random.Random) -> tuple[BigReal, ...]:
     return tuple(_rayleigh_gain(scale, rng) for _ in range(n))
 
 
-def _noise_sample(variance: BigReal, rng: random.Random) -> BigReal:
-    if variance == 0:
-        return Decimal(0)
-    sigma = float(variance) ** 0.5
-    return to_bigreal(rng.gauss(0.0, sigma))
-
-
 def superpose(
     signals,
     taps,
@@ -212,7 +200,7 @@ def superpose(
         if noise_variance > 0:
             if rng is None:
                 raise ValueError("a noisy channel needs an rng")
-            total += _noise_sample(noise_variance, rng)
+            total += to_bigreal(rng.gauss(0.0, float(noise_variance) ** 0.5))
     return total
 
 

@@ -84,9 +84,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entry():  # console-script shim
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

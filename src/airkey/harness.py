@@ -166,11 +166,7 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError({k: "unknown field" for k in unknown})
-        try:
-            cfg = cls(**doc)
-        except TypeError as e:
-            raise ConfigError({"config": str(e)}) from e
-        return cfg.validate()
+        return cls(**doc).validate()
 
     @classmethod
     def from_json(cls, text: str, **overrides) -> "ExperimentConfig":
@@ -258,7 +254,7 @@ def _summarize(cfg: ExperimentConfig, rows) -> dict:
         "n_users": cfg.n_users,
         "trials": n,
         "seed": cfg.seed,
-        "rounds_used": rows[0]["rounds_used"] if rows else None,
+        "rounds_used": rows[0]["rounds_used"],
         "agreement_rate": sum(r["group_agreed"] for r in rows) / n,
         "failure_rate": sum(r["failures"] > 0 for r in rows) / n,
         "eve_success_rate": _eve_mean(rows, "eve_key_equal"),

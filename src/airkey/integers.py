@@ -208,10 +208,6 @@ class Factorization:
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be positive")
 
-    @classmethod
-    def from_map(cls, exponents: dict[int, int]) -> "Factorization":
-        return cls(tuple(sorted(exponents.items())))
-
     def value(self) -> int:
         return math.prod(p**e for p, e in self.factors)
 
@@ -296,8 +292,6 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     factor == n means this parametrization failed; factor == 0 means the
     budget ran out.
     """
-    if n % 2 == 0:
-        return 2, 0
     y, c, m = 2 + seed, 1 + seed, 128
     g, r, q = 1, 1, 1
     spent = 0
@@ -372,6 +366,6 @@ def factorize(n: int, rho_effort: int = DEFAULT_RHO_EFFORT) -> Factorization:
         pending.append(c // factor)
     if m != 1:
         raise FactorBoundExceeded(f"unfactored cofactor {m} remains")
-    result = Factorization.from_map(exponents)
+    result = Factorization(tuple(sorted(exponents.items())))
     assert result.value() == n
     return result

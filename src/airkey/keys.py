@@ -1,8 +1,9 @@
 """Key material derivation from the shared secret.
 
 The protocols end with a shared integer; applications want fixed-length
-key bits.  Derivation is a standard extract-then-expand construction over
-HMAC-SHA256, domain-separated by a caller-supplied context label.
+key bits.  ``derive_key`` is RFC 5869 HKDF-SHA256: extract with the salt
+``b"airkey/v1/extract"`` from the secret's big-endian bytes, then expand
+with the caller-supplied context label as HKDF's info.
 
 A derived key holds no more entropy than the secret.  The secret is a
 product of N distinct d-digit primes drawn uniformly, so it carries
@@ -14,25 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 
 _EXTRACT_SALT = b"airkey/v1/extract"
 
 
-@dataclass(frozen=True)
-class DerivedKey:
-    key: bytes
-
-    @property
-    def hex(self) -> str:
-        return self.key.hex()
-
-    @property
-    def bit_length(self) -> int:
-        return len(self.key) * 8
-
-
-def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") -> DerivedKey:
+def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") -> bytes:
     """Deterministically expand the shared integer into key bits."""
     if secret < 2:
         raise ValueError("shared secret must be at least 2")
@@ -51,4 +38,4 @@ def derive_key(secret: int, length_bits: int = 256, context_label: bytes = b"") 
         ).digest()
         okm += block
         counter += 1
-    return DerivedKey(key=okm[: length_bits // 8])
+    return okm[: length_bits // 8]

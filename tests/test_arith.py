@@ -127,6 +127,10 @@ class TestExp:
         with pytest.raises(Overflow):
             exp(Decimal(3_000_000), PrecisionContext(50))
 
+    def test_rejects_nan(self):
+        with pytest.raises(NonPositiveInput, match="finite"):
+            exp(Decimal("NaN"), CTX)
+
     @pytest.mark.parametrize("x", ["-1e10", "-1e400", "1e400"])
     def test_overflow_on_arguments_beyond_float_range(self, x):
         # -1e400 is -inf as a float, which must not leak a bare OverflowError
@@ -592,6 +596,10 @@ class TestSmoothNeighbourLn:
             for n, man, err in zip(ints, logs.fixed, logs.errors):
                 exact = oracle.multiply(Decimal(n).ln(oracle), scale)
                 assert abs(oracle.subtract(man, exact)) <= err, n
+
+    def test_integer_logs_reject_one(self):
+        with pytest.raises(NonPositiveInput, match=">= 2"):
+            arith.integer_logs([1], CTX)
 
     @pytest.mark.parametrize("digits", [64, 600])
     def test_integer_logs_of_wide_integers_equal_ln(self, digits):

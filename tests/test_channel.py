@@ -112,6 +112,10 @@ class TestDrawChannel:
         with pytest.raises(NonPositiveGain):
             draw_channel(2, FadingModel.ideal(), 0, 0, random.Random(0))
 
+    def test_rejects_negative_noise(self):
+        with pytest.raises(ValueError, match="noise variance"):
+            draw_channel(2, FadingModel.ideal(), 1, -1, random.Random(0))
+
     def test_rayleigh_mean_matches_theory(self):
         # Monte-Carlo oracle: Rayleigh(scale=1) has mean sqrt(pi/2)
         rng = random.Random(7)
@@ -254,6 +258,11 @@ class TestSuperpose:
         with pytest.raises(ValueError):
             superpose([Decimal(1), None], column(ch, 1), ch.noise_variance)
 
+    def test_needs_one_signal_per_tap(self):
+        ch = ideal_channel(3)
+        with pytest.raises(ValueError, match="one signal slot per tap"):
+            superpose([Decimal(1), None], column(ch, 2), 0)
+
 
 class TestEveObserve:
     # the eavesdropper's view is superpose over her own taps, without noise
@@ -287,6 +296,14 @@ class TestCsi:
     def test_relative_zero_is_perfect(self):
         ch = ideal_channel(3)
         assert estimate_csi(ch, 0.0, random.Random(0)) == ch.h
+
+    def test_rejects_negative_epsilon(self):
+        with pytest.raises(ValueError, match="negative"):
+            estimate_csi(ideal_channel(3), -0.01, random.Random(0))
+
+    def test_relative_error_needs_rng(self):
+        with pytest.raises(ValueError, match="needs an rng"):
+            estimate_csi(ideal_channel(3), 0.01)
 
     def test_relative_error_bounded(self):
         rng = random.Random(10)

@@ -87,6 +87,11 @@ class TestRunFullRound:
         with pytest.raises(ValueError):
             run_protocol_fmac([PrimeInput(2), PrimeInput(3)], ch, CTX)
 
+    def test_requires_one_prime_per_user(self):
+        primes, _ = sample_distinct_primes(3, 4, random.Random(10))
+        with pytest.raises(ValueError, match="one prime per user"):
+            run_protocol_fmac(primes[:2], integer_channel(3, 3, 10), CTX)
+
     def test_duplicate_primes_rejected(self):
         with pytest.raises(DuplicatePrimeDetected):
             run_protocol_fmac([PrimeInput(3), PrimeInput(3)], forced_c_channel(2, 1), CTX)

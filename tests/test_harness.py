@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"protocol": "hmac", "banana": 1})
 
+    def test_top_level_json_must_be_an_object(self):
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_json("[]")
+        assert "config" in e.value.problems
+
     def test_fmac_needs_integer_fading(self):
         with pytest.raises(ConfigError) as e:
             cfg(protocol="fmac")
@@ -55,6 +60,13 @@ class TestConfig:
             ("csi_error", 1.5),
             ("seed", -1),
             ("eve_mode", "both"),
+            ("prime_digits", 0),
+            ("prime_digits", 33),
+            ("fading", "nakagami"),
+            ("c_max", 0),
+            ("h_star", "abc"),
+            ("noise_variance", "-1"),
+            ("eve_taps", "both"),
             # the one fmac exchange has no second round to intercept
             pytest.param(
                 "eve_mode", dict(FMAC, eve_mode="two_round"),

@@ -213,6 +213,10 @@ class TestSampling:
             assert len(str(p.value)) == d
             assert trial_division_is_prime(p.value)
 
+    def test_sample_prime_rejects_zero_digits(self):
+        with pytest.raises(ValueError, match="digit_count"):
+            sample_prime(0, random.Random(0))
+
     def test_sampling_is_deterministic(self):
         a = sample_prime(6, random.Random(42))
         b = sample_prime(6, random.Random(42))
@@ -263,6 +267,10 @@ class TestFactorization:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Factorization(((5, 1), (3, 1)))
+
+    def test_rejects_zero_exponent(self):
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            Factorization(((2, 0),))
 
     def test_radical(self):
         assert radical(Factorization(((2, 5), (7, 2)))) == 14

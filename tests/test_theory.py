@@ -6,19 +6,33 @@ within the tolerance 10**-T of the integer P when |n| <= 10**-T / P, to
 first order.  So each round is accepted with probability
 erf(10**-T / (P * sigma * sqrt(2))), whatever the fading gains.
 
-Each test runs trials through the harness and compares the number of
+Each AWGN test runs trials through the harness and compares the number of
 accepted rounds with the sum of those probabilities, within 4 standard
 deviations of that sum.  P comes from the primes and the integer gains
 drawn again from each trial's child seed, not from the protocol's outputs,
 so a drift between model and simulator shows as a moved rate.
+
+CSI error is checked reception by reception.  User i sends ln p_i / h^_ij
+toward listener j over the true gain h_ij, so j hears ln P_j + delta_j with
+delta_j = sum over i != j of ln p_i * (h_ij / h^_ij - 1), and its value
+P_j * e**delta_j is accepted when P_j * |expm1(delta_j)| <= 10**-T.
 """
 
 import math
 import random
+from decimal import Context
 
 import pytest
 
-from airkey import ExperimentConfig, FadingModel, draw_channel, sample_distinct_primes
+from airkey import (
+    ExperimentConfig,
+    FadingModel,
+    PrecisionContext,
+    draw_channel,
+    estimate_csi,
+    run_protocol_hmac,
+    sample_distinct_primes,
+)
 from airkey.harness import child_seed, run_trial
 
 HMAC = dict(protocol="hmac", prime_digits=6, fading="rayleigh")
@@ -71,3 +85,36 @@ def test_awgn_acceptance(fields, variance):
     assert abs(accepted - predicted) <= 4 * math.sqrt(spread), (
         f"accepted {accepted / rounds_run:.4f}, predicted {predicted / rounds_run:.4f}"
     )
+
+
+@pytest.mark.parametrize("epsilon", [1e-35, 3e-35, 1e-34, 1e-33])
+def test_csi_error_acceptance(epsilon):
+    n, trials = 4, 150
+    ctx = PrecisionContext(64)
+    threshold = 10.0 ** -(ctx.digits // 4)
+    # h / h^ - 1 is about epsilon: at 28 digits the ratio would round to 1
+    wide = Context(prec=100)
+    rng = random.Random(31)
+    model_accepted = accepted = 0
+    for _ in range(trials):
+        primes, _ = sample_distinct_primes(n, 6, rng)
+        ch = draw_channel(n, FadingModel.rayleigh(1), 1, 0, rng)
+        h_hat = estimate_csi(ch, epsilon, rng)
+        rounds = run_protocol_hmac(primes, ch, h_hat, ctx).rounds
+        for j, r in enumerate(rounds):
+            others = [i for i in range(n) if i != j]
+            delta = math.fsum(
+                math.log(primes[i].value)
+                * float(wide.subtract(wide.divide(ch.h[i][j], h_hat[i][j]), 1))
+                for i in others
+            )
+            product = math.prod(primes[i].value for i in others)
+            distance = product * abs(math.expm1(delta))
+            model_accepted += distance <= threshold
+            accepted += r.failure is None
+            if abs(distance / threshold - 1) > 1e-9:
+                assert (r.failure is None) == (distance <= threshold), (j, distance)
+    receptions = trials * n
+    p = model_accepted / receptions
+    assert 0.01 < p < 0.999, "the point does not discriminate"
+    assert abs(accepted - model_accepted) <= 4 * math.sqrt(receptions * p * (1 - p))
