@@ -23,8 +23,10 @@ every trial tried, and the cost of that search is what protects the key.
 The one attack, :func:`eve_attack`, runs the listener step of the
 legitimate receivers, :func:`airkey.halfduplex.receive`, on her taps, and
 against ``fmac`` also its factor step :func:`airkey.fullduplex.factor`.
-Her logs come from :func:`airkey.arith.integer_logs`, as the protocols'
-do.  Her reception is sized like any exchange by
+She reads her logs from the exchange's table, ``transcript.logs``, by
+:meth:`airkey.arith.IntegerLogs.rounded`, so the log kernel runs again
+only where she carries more digits than the exchange.  Her reception is
+sized like any exchange by
 :func:`airkey.halfduplex.sized_exchange`, on the ratios her primes reach
 her with, under one ceiling.  If every ratio is an integer her value is an
 exact product of the primes, which can be the key (matched integer taps
@@ -45,8 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import MAX_EXPONENT, BigReal, PrecisionContext, integer_logs
-from .arith import leading_digit_overlap
+from .arith import MAX_EXPONENT, BigReal, PrecisionContext, leading_digit_overlap
 from .channel import ChannelState
 from .fullduplex import factor
 from .halfduplex import pre_process, receive, sized_exchange
@@ -111,11 +112,10 @@ def eve_attack(
     multiply, divide = ctx.ambient.multiply, ctx.ambient.divide
     if transcript.protocol == "hmac":
         heard = [i for i, s in enumerate(record.signals) if s is not None]
-        logs = integer_logs([primes[i].value for i in heard], ctx).values
+        logs = transcript.logs.rounded(ctx)
         # effective exponent of p_i at Eve: tap times signal over ln(p_i)
         ratios = [
-            divide(multiply(ch.h_eve[i], record.signals[i]), log)
-            for i, log in zip(heard, logs)
+            divide(multiply(ch.h_eve[i], record.signals[i]), logs[i]) for i in heard
         ]
     else:
         heard = range(len(primes))
@@ -127,7 +127,7 @@ def eve_attack(
         return receive(None, signals, ch.h_eve, work, ctx.tolerance)
 
     if transcript.protocol == "fmac":
-        logs = integer_logs([p.value for p in primes], work).values
+        logs = transcript.logs.rounded(work)
         eve = factor(hear([pre_process(log, [ch.h_star], work)[0] for log in logs]))
         return EveReport(eve, record.post_value, ratios, eve.recovered == secret)
     eve = hear(record.signals)

@@ -214,6 +214,8 @@ class IntegerLogs:
     ``values[i]`` is ``ln(integers[i], ctx)`` digit for digit; ``fixed[i]``
     is ln n_i times 2**bits within ``errors[i]`` units, the kernel's result
     at the first width of Ziv's loop, from which ``values[i]`` was rounded.
+    An exchange takes the table once and its transcript carries it, so the
+    eavesdropper reads her logs from it (:meth:`rounded`) too.
     """
 
     integers: tuple[int, ...]
@@ -233,6 +235,27 @@ class IntegerLogs:
         log = sum(map(mul, column, self.fixed))
         err = sum(map(mul, column, self.errors))
         return Near(powers, log, err, self.bits)
+
+    def rounded(self, ctx: PrecisionContext) -> tuple[Decimal, ...]:
+        """``integer_logs(integers, ctx).values``, read from this table.
+
+        At the table's own digits that is ``values``; at fewer, each
+        ``fixed`` log rounded half-even, by the kernel only where its
+        bracket does not decide; at more, the kernel's logs.
+        """
+        bits = int(ctx.digits * _LOG2_10) + 1 + _ZIV_GUARD
+        if bits == self.bits:
+            return self.values
+        if bits > self.bits:
+            return integer_logs(self.integers, ctx).values
+        values = []
+        for n, man, err in zip(self.integers, self.fixed, self.errors):
+            value = _round_half_even(man, err, self.bits, 0, ctx.digits)
+            if value is None:
+                kernel = partial(_ln_smooth_kernel, n)
+                value = _correctly_rounded(kernel, ctx.digits, _ZIV_GUARD)
+            values.append(value)
+        return tuple(values)
 
 
 def integer_logs(integers, ctx: PrecisionContext) -> IntegerLogs:

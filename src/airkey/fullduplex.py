@@ -103,4 +103,4 @@ def run_protocol_fmac(
             j, signals, [row[j] for row in ch.h], work, ctx.tolerance,
             ch.noise_variance, rng, near,
         ), near))
-    return ProtocolTranscript.of("fmac", 1, primes, rounds)
+    return ProtocolTranscript.of("fmac", 1, primes, rounds, logs)

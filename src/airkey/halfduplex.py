@@ -176,4 +176,4 @@ def run_protocol_hmac(
         )
         for j in range(n)
     ]
-    return ProtocolTranscript.of("hmac", n, primes, rounds)
+    return ProtocolTranscript.of("hmac", n, primes, rounds, logs)

@@ -311,12 +311,15 @@ def _coerce_axis_value(axis: str, value):
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
-    """Re-run the experiment along one numeric config axis."""
+    """Re-run the experiment along one numeric config axis, at distinct values."""
     if axis not in SWEEPABLE_FIELDS:
         raise ConfigError({"axis": f"not sweepable: {axis!r}"})
+    points = [_coerce_axis_value(axis, v) for v in values]
+    if not points or len(set(points)) != len(points):  # one directory per point
+        raise ConfigError({"values": f"need distinct {axis} values, got {points}"})
     base_out = cfg.out_dir
     table = []
-    for coerced in [_coerce_axis_value(axis, v) for v in values]:
+    for coerced in points:
         sub_out = None
         if base_out is not None:
             sub_out = str(Path(base_out) / f"{axis}_{coerced}")

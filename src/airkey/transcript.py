@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import BigReal
+from .arith import BigReal, IntegerLogs
 from .integers import Factorization, PrimeInput
 
 
@@ -50,16 +50,19 @@ class ProtocolTranscript:
     ``rounds`` holds one :class:`Reception` per receiver (one per round for
     the half-duplex scheme, one per user for the single full-duplex
     exchange).  ``per_user_secret`` carries each user's recovered shared
-    secret, or None where recovery failed.
+    secret, or None where recovery failed.  ``logs`` is the exchange's
+    table of the primes' logs, which the eavesdropper reads; it is kept in
+    memory only, and :meth:`to_json` leaves it out.
     """
 
     protocol: str
     rounds_used: int
     rounds: list[Reception]
     per_user_secret: list
+    logs: IntegerLogs
 
     @classmethod
-    def of(cls, protocol: str, rounds_used: int, primes: list[PrimeInput], rounds):
+    def of(cls, protocol, rounds_used, primes: list[PrimeInput], rounds, logs):
         """The transcript of ``rounds``, one per user in the order of ``primes``.
 
         A user's secret is its own prime times the product it recovered.
@@ -67,7 +70,7 @@ class ProtocolTranscript:
         return cls(protocol, rounds_used, rounds, [
             None if r.recovered is None else p.value * r.recovered
             for p, r in zip(primes, rounds)
-        ])
+        ], logs)
 
     def agreed_secret(self):
         """The common secret if every user recovered the same one, else None."""

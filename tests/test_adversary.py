@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
-from airkey import adversary, halfduplex
+import pytest
+
+from airkey import arith, halfduplex, harness
 from airkey import (
     ExperimentConfig,
     FadingModel,
@@ -19,6 +22,7 @@ from airkey import (
     run_protocol_hmac,
     sample_distinct_primes,
 )
+from airkey.arith import integer_logs
 from airkey.halfduplex import sized_exchange
 from airkey.harness import child_seed, run_trial
 from eve_model import error_factor_from_deltas
@@ -34,9 +38,10 @@ def gap(report):
 def forbid_wide(monkeypatch):
     """Fail any log or ``exp`` taken at more digits than ``CTX`` carries.
 
-    Patches the attack's ``integer_logs`` and the listener step's ``exp``.
+    Patches the attack's reading of the exchange's logs and the listener
+    step's ``exp``.
     """
-    for module, name in ((adversary, "integer_logs"), (halfduplex, "exp")):
+    for module, name in ((arith.IntegerLogs, "rounded"), (halfduplex, "exp")):
         real = getattr(module, name)
 
         def checked(x, ctx, *near, real=real, name=name):
@@ -277,8 +282,6 @@ class TestEveAttackFull:
 
     def test_power_oracle_two_users(self):
         # h_eve/h_star = (2.001, 1.999) on primes (3, 5) with c = 2
-        from dataclasses import replace
-
         primes = [PrimeInput(3), PrimeInput(5)]
         ch = draw_channel(2, FadingModel.integer(1), 1, 0, random.Random(0))
         h = ((Decimal(0), Decimal(2)), (Decimal(2), Decimal(0)))
@@ -339,3 +342,76 @@ class TestEveAttackFull:
         with localcontext(CTX.ambient):
             rhs = report.psi_legit * abs(e_r)
             assert abs(gap(report) - rhs) / rhs < Decimal("1e-20")
+
+
+# the eavesdropper experiments of the benchmark's eve-small workload
+EVE_SMALL = [
+    dict(protocol="hmac", n_users=4, prime_digits=6, precision_digits=128,
+         fading="rayleigh", eve=True, eve_mode="two_round", eve_taps="rayleigh"),
+    dict(protocol="fmac", n_users=6, c_max=4, prime_digits=5,
+         precision_digits=128, fading="integer", eve=True, eve_taps="rayleigh"),
+]
+
+
+def kernel_calls(monkeypatch):
+    """A list that gains one entry per call of the integer log kernel."""
+    calls = []
+    kernel = arith._ln_smooth_kernel
+
+    def recorded(n, w):
+        calls.append(n)
+        return kernel(n, w)
+
+    monkeypatch.setattr(arith, "_ln_smooth_kernel", recorded)
+    return calls
+
+
+class TestEveReadsTheExchangeLogs:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("config", EVE_SMALL, ids=["hmac", "fmac"])
+    def test_no_log_of_her_own(self, monkeypatch, config, scale):
+        # her precision is never wider than the exchange's here, so every
+        # log she needs is rounded from the transcript's table
+        calls = kernel_calls(monkeypatch)
+        per_attack = []
+
+        def counted_attack(*args):
+            calls.clear()
+            report = eve_attack(*args)
+            per_attack.append(len(calls))
+            return report
+
+        monkeypatch.setattr(harness, "eve_attack", counted_attack)
+        cfg = ExperimentConfig(**config, eve_rayleigh_scale=scale, trials=10, seed=3)
+        for trial in range(cfg.trials):
+            run_trial(cfg, trial)
+        assert per_attack == [0] * cfg.trials
+
+    def test_wider_than_the_exchange_reports_as_from_her_own_logs(self, monkeypatch):
+        # matched integer taps on all N users: her product can need more
+        # digits than any receiver's, and the table's logs are then taken
+        # again at her width, as a table of her own would hold them
+        calls = kernel_calls(monkeypatch)
+        wider = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            primes, _ = sample_distinct_primes(12, 5, rng)
+            ch = draw_channel(12, FadingModel.integer(8), 1, 0, rng)
+            ctx = PrecisionContext(256)
+            transcript = run_protocol_fmac(primes, ch, ctx)
+            ratios = [h / ch.h_star for h in ch.h_eve]
+            work = sized_exchange(primes, [ratios], ctx)
+            own = replace(
+                transcript, logs=integer_logs([p.value for p in primes], work)
+            )
+            calls.clear()
+            report = eve_attack(transcript, primes, ch, ctx)
+            wider += bool(calls)
+            want = eve_attack(own, primes, ch, ctx)
+            assert report.eve.to_dict() == want.eve.to_dict()
+            assert report.eve.signals == want.eve.signals
+            assert (report.key_equal, report.digit_overlap) == (
+                want.key_equal, want.digit_overlap
+            )
+            assert report.key_equal
+        assert wider > 0

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 
 import pytest
@@ -698,6 +699,58 @@ class TestSmoothNeighbourLn:
         logs = arith.integer_logs(ints, PrecisionContext(digits))
         want = [one_division_series(n, logs.bits) for n in ints]
         assert list(zip(logs.fixed, logs.errors)) == want
+
+
+class TestRoundedTable:
+    """``IntegerLogs.rounded`` against a table taken at the requested digits."""
+
+    OWN = 100  # the table's own digits
+
+    @staticmethod
+    def primes():
+        rng = random.Random(29)
+        return [sample_prime(d, rng).value for d in (1, 1, 3, 5, 6, 6, 20, 32)]
+
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        calls = []
+        kernel = arith._ln_smooth_kernel
+
+        def recorded(n, w):
+            calls.append(n)
+            return kernel(n, w)
+
+        monkeypatch.setattr(arith, "_ln_smooth_kernel", recorded)
+        return calls
+
+    def test_equals_integer_logs_at_every_precision(self, monkeypatch):
+        ints = self.primes()
+        table = arith.integer_logs(ints, PrecisionContext(self.OWN))
+        calls = self.counted_kernel(monkeypatch)
+        for digits in [*range(16, self.OWN + 1), self.OWN + 1, 128, 300]:
+            ctx = PrecisionContext(digits)
+            calls.clear()
+            got = table.rounded(ctx)
+            # no kernel up to the table's own digits, one log each past them
+            assert len(calls) == (len(ints) if digits > self.OWN else 0), digits
+            want = arith.integer_logs(ints, ctx).values
+            assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], digits
+        assert table.rounded(PrecisionContext(self.OWN)) is table.values
+
+    def test_undecided_brackets_take_the_kernel(self, monkeypatch):
+        # an error of 2**-20 relative to the log leaves every rounding to 16
+        # digits or more undecided, so each log takes the kernel
+        ints = self.primes()
+        table = arith.integer_logs(ints, PrecisionContext(self.OWN))
+        wide = replace(table, errors=(1 << (table.bits - 20),) * len(ints))
+        calls = self.counted_kernel(monkeypatch)
+        for digits in (16, 50, self.OWN - 1):
+            ctx = PrecisionContext(digits)
+            calls.clear()
+            got = wide.rounded(ctx)
+            assert sorted(set(calls)) == sorted(set(ints))
+            want = arith.integer_logs(ints, ctx).values
+            assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], digits
 
 
 def one_division_series(n: int, w: int) -> tuple[int, int]:

@@ -242,6 +242,17 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(cfg(), "protocol", ["hmac"])
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("n_users", []), ("n_users", ["3", "3"]), ("rayleigh_scale", ["1", "1.0"]),
+         ("csi_error", [0.0, "0.01", "0.010"])],
+    )
+    def test_no_or_repeated_values_rejected(self, tmp_path, axis, values):
+        # values that coerce alike would run one point into one directory
+        with pytest.raises(ConfigError, match="distinct"):
+            sweep(cfg(out_dir=str(tmp_path / "s")), axis, values)
+        assert not (tmp_path / "s").exists()
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -333,6 +344,17 @@ class TestCli:
         )
         assert code == 2
         assert "n_users" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "axis, values", [("n_users", ""), ("n_users", "3,3"), ("rayleigh_scale", "1,1.0")]
+    )
+    def test_sweep_with_no_or_repeated_values_exits_2(self, tmp_path, axis, values):
+        code = self.run_cli(
+            "sweep", "--protocol", "hmac", "--seed", "1", "--trials", "1",
+            "--out", str(tmp_path / "s"), "--axis", axis, "--values", values,
+        )
+        assert code == 2
+        assert not (tmp_path / "s" / "sweep.csv").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         code = self.run_cli(

@@ -66,7 +66,7 @@ class TestDeriveKey:
 
 def agreed(secrets):
     n = len(secrets)
-    return ProtocolTranscript("hmac", n, [], secrets).agreed_secret()
+    return ProtocolTranscript("hmac", n, [], secrets, None).agreed_secret()
 
 
 class TestGroupAgreement:
